@@ -26,7 +26,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _blas
 from .datasets import (
     DataError,
     SynthSpec,
@@ -349,6 +349,7 @@ def cmd_run_edge(params: dict, out_dir: Path, log: MetricLog, timing: MetricLog)
     )
     _log_edge_rows(log, timing, x, client, params["batch"])
     meta.append(f"blocks={client.blocks_seen}")
+    meta.append(_blas.describe())
     return meta
 
 
@@ -398,6 +399,7 @@ def cmd_run_federated(params: dict, out_dir: Path, log: MetricLog, timing: Metri
     counts = ",".join(str(math.ceil(len(a) / params["batch"])) for a in partition.assignments)
     meta.append(f"client_batches={counts}")
     meta.append(f"tree depth={tree.depth} merges={result.merge_count}")
+    meta.append(_blas.describe())
     return meta
 
 

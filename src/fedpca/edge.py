@@ -19,6 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import accounting
+from ._blas import single_thread
 from .linalg import SubspaceEstimate, ensure_matrix, merge, subspace_of
 from .privacy import (
     DpConfig,
@@ -232,15 +233,18 @@ class EdgeClient:
         if width < self.batch_size:
             self.short_batches += 1
 
-        if self.dp is None:
-            updated = self._plain_update(m)
-        else:
-            updated = self._private_update(m, width)
+        # Every operand is O(d(r + b)) or O(d(b + c)), too small for a BLAS
+        # thread team to pay off.
+        with single_thread():
+            if self.dp is None:
+                updated = self._plain_update(m)
+            else:
+                updated = self._private_update(m, width)
 
-        if self.energy is not None:
-            updated = adjust_rank(updated, self.energy)
-            if updated.rank > 0:
-                self.rank = updated.rank
+            if self.energy is not None:
+                updated = adjust_rank(updated, self.energy)
+                if updated.rank > 0:
+                    self.rank = updated.rank
 
         self.estimate = updated
         self.blocks_seen += 1

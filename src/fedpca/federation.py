@@ -16,6 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ._blas import single_thread
 from .edge import EdgeClient, EnergyBounds
 from .linalg import SubspaceEstimate, ensure_matrix, merge, subspace_of
 from .metrics import procrustes_align_error, residual_rho
@@ -125,8 +126,10 @@ def aggregate_once(children: Sequence[SubspaceEstimate], r: int) -> SubspaceEsti
     if len(dims) != 1:
         raise ValueError("children live in different ambient dimensions")
     acc = children[0]
-    for child in children[1:]:
-        acc = merge(acc, child, r)
+    # rank-r merges are too small for a BLAS thread team to pay off
+    with single_thread():
+        for child in children[1:]:
+            acc = merge(acc, child, r)
     return acc.truncated(r)
 
 

@@ -44,15 +44,14 @@ def _fix_signs(left: np.ndarray, right: Optional[np.ndarray] = None) -> None:
 
     Ties pick the lowest row index (np.argmax convention). The matching row
     of ``right`` (a Vt-style factor) is flipped alongside so products are
-    preserved.
+    preserved. An all-zero column is left as it is.
     """
-    for j in range(left.shape[1]):
-        col = left[:, j]
-        i = int(np.argmax(np.abs(col)))
-        if col[i] < 0:
-            left[:, j] = -col
-            if right is not None:
-                right[j, :] = -right[j, :]
+    peak = np.argmax(np.abs(left), axis=0)
+    flip = left[peak, np.arange(left.shape[1])] < 0
+    if np.any(flip):
+        left[:, flip] = -left[:, flip]
+        if right is not None:
+            right[flip, :] = -right[flip, :]
 
 
 def _zero_cutoff(values: np.ndarray, dim_max: int) -> float:

@@ -145,3 +145,18 @@ def mean_random_overlap(dim: int, reps: int, seed: int) -> np.ndarray:
         v = rng.standard_normal(dim)
         out[i] = abs(u @ v) / (np.linalg.norm(u) * np.linalg.norm(v))
     return out
+
+
+def fix_signs_loop(left, right=None) -> None:
+    """Column-by-column sign convention, in place: largest |entry| positive.
+
+    Ties go to the lowest row (np.argmax), an all-zero column stays as it
+    is, and the matching row of ``right`` flips with its column.
+    """
+    for j in range(left.shape[1]):
+        col = left[:, j]
+        i = int(np.argmax(np.abs(col)))
+        if col[i] < 0:
+            left[:, j] = -col
+            if right is not None:
+                right[j, :] = -right[j, :]

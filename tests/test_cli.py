@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from fedpca import _blas
 from fedpca.cli import EPSILON_FLOOR, main
 from fedpca.datasets import SynthSpec, load_csv, synth
 from fedpca.federation import depth_error_probe
@@ -135,6 +136,15 @@ class TestRunFederated:
         assert float(read_metrics(out, "merge_count")[0]["value"]) == 7.0
         levels = {int(r["t"]) for r in read_metrics(out, "level_rank")}
         assert levels == {0, 1, 2, 3}
+
+
+def test_manifests_record_update_blas_threads(tmp_path):
+    common = ["--d", "6", "--n", "40", "--rank", "2", "--batch", "10", "--no-dp"]
+    for command in ("run-edge", "run-federated"):
+        out = tmp_path / command
+        run_ok([command] + common + ["--out", str(out)])
+        lines = (out / "manifest.txt").read_text().splitlines()
+        assert [ln for ln in lines if ln.startswith("# blas ")] == [f"# {_blas.describe()}"]
 
 
 class TestReplay:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fedpca import _blas
 from fedpca.edge import EdgeClient
 from fedpca.federation import (
     SCHEDULES,
@@ -130,10 +131,15 @@ class TestRunFederation:
         streams = split_columns(y, 4)
         tree = build_tree(4, 2)
         cfg = FederationConfig(rank=4, batch_size=10)
+        api = _blas.openblas()
+        threads = api.get_num_threads() if api else None
         serial = run_federation(streams, tree, cfg)
         pooled = run_federation(streams, tree, cfg, max_workers=4)
         assert np.array_equal(serial.estimate.values, pooled.estimate.values)
         assert np.array_equal(serial.estimate.basis, pooled.estimate.basis)
+        # overlapping one-thread update scopes hand back the caller's count
+        if threads is not None:
+            assert api.get_num_threads() == threads
 
     def test_empty_stream_is_neutral(self):
         y = global_matrix(5, 8, 40)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from fedpca.linalg import (
     SubspaceEstimate,
+    _fix_signs,
     basic_merge,
     economy_qr,
     faster_merge,
@@ -13,7 +14,7 @@ from fedpca.linalg import (
     subspace_of,
     truncated_svd,
 )
-from oracles import jacobi_svd, projector_distance
+from oracles import fix_signs_loop, jacobi_svd, projector_distance
 
 # one-sided Jacobi output for default_rng(7).standard_normal((10, 6))
 JACOBI_SEED7_VALUES = np.array(
@@ -32,6 +33,28 @@ def random_estimate(seed: int, d: int, r: int, cols: int = None) -> SubspaceEsti
     rng = np.random.default_rng(seed)
     cols = cols if cols is not None else max(r, d // 2)
     return subspace_of(rng.standard_normal((d, cols)), r)
+
+
+class TestFixSigns:
+    def test_matches_column_loop_exactly(self):
+        rng = np.random.default_rng(3)
+        for d, k, with_right in ((1, 1, True), (5, 1, True), (4, 7, True),
+                                 (9, 12, True), (30, 6, True), (6, 4, False), (3, 0, True)):
+            # small integers give ties of opposite sign and all-zero columns
+            left = rng.integers(-2, 3, size=(d, k)).astype(np.float64)
+            if k:
+                left[:, 0] = 0.0
+            if d > 1 and k > 1:
+                left[:2, -1] = [-2.0, 2.0]
+            right = rng.standard_normal((k, 5)) if with_right else None
+            want_left = left.copy()
+            want_right = None if right is None else right.copy()
+            fix_signs_loop(want_left, want_right)
+            _fix_signs(left, right)
+            assert np.array_equal(left, want_left)
+            assert np.array_equal(np.signbit(left), np.signbit(want_left))
+            if with_right:
+                assert np.array_equal(right, want_right)
 
 
 class TestTruncatedSvd:
