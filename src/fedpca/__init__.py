@@ -31,10 +31,7 @@ from .federation import (
 )
 from .linalg import (
     SubspaceEstimate,
-    SvdFactors,
-    basic_merge,
     economy_qr,
-    faster_merge,
     merge,
     singular_values,
     subspace_of,
@@ -80,17 +77,14 @@ __all__ = [
     "PrivacyInfeasibleError",
     "StreamPartition",
     "SubspaceEstimate",
-    "SvdFactors",
     "SynthSpec",
     "adjust_rank",
     "aggregate_once",
-    "basic_merge",
     "build_tree",
     "depth_error_probe",
     "derive_rng",
     "economy_qr",
     "energy_ratio",
-    "faster_merge",
     "gaussian_mask",
     "load_csv",
     "masked_cov_blocks",

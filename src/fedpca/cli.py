@@ -63,6 +63,10 @@ from .privacy import (
 
 EPSILON_FLOOR = 1e-3
 
+# A column norm counts as outside the unit ball only beyond rounding:
+# normalize_unit_ball can leave a norm one ulp above 1.
+UNIT_BALL_SLACK = 1e-12
+
 
 class ConfigError(ValueError):
     """Bad or missing configuration values."""
@@ -264,8 +268,9 @@ def _acquire_data(params: dict, meta: list[str]) -> np.ndarray:
     return x
 
 
-def _edge_pieces(params: dict, d: int, meta: list[str]):
+def _edge_pieces(params: dict, x: np.ndarray, meta: list[str]):
     """EnergyBounds / DpConfig / cov width shared by edge and federated runs."""
+    d, n = x.shape
     energy = None
     if params["adaptive"]:
         energy = EnergyBounds(
@@ -276,10 +281,13 @@ def _edge_pieces(params: dict, d: int, meta: list[str]):
     dp = None
     if not params["no_dp"]:
         dp = DpConfig(params["epsilon"], params["delta"], params["omega_floor"])
-        if params.get("normalize", "none") == "none" and params.get("data"):
+        norms = np.linalg.norm(x, axis=0)
+        outside = int(np.sum(norms > 1.0 + UNIT_BALL_SLACK))
+        if outside:
             meta.append(
-                "warning: dp enabled on unnormalized data; the budget assumes "
-                "columns inside the unit ball"
+                f"warning: dp enabled but {outside} of {n} columns lie outside "
+                f"the unit ball (largest norm {float(np.max(norms)):.6g}); the "
+                "budget assumes every column norm <= 1"
             )
     cov_block = params["cov_block"] if params["cov_block"] else min(d, 64)
     if params["batch"] < params["rank"]:
@@ -320,21 +328,18 @@ def _log_edge_rows(log: MetricLog, timing: MetricLog, x: np.ndarray, client: Edg
 def cmd_synth(params: dict, out_dir: Path, log: MetricLog, timing: MetricLog) -> list[str]:
     if params["d"] is None or params["n"] is None:
         raise ConfigError("synth needs --d and --n")
-    if params["generator"] == "svd":
-        x = synth(SynthSpec(params["d"], params["n"], params["alpha"], params["seed"]))
-    elif params["generator"] == "gauss":
-        x = synth_gaussian_cov(params["d"], params["n"], params["alpha"], params["seed"])
-    else:
-        raise ConfigError(f"unknown generator {params['generator']!r}")
+    meta: list[str] = []
+    x = _acquire_data(params, meta)
     save_matrix_csv(out_dir / "matrix.csv", x)
-    return [f"matrix shape {x.shape[0]}x{x.shape[1]}"]
+    meta.append(f"matrix shape {x.shape[0]}x{x.shape[1]}")
+    return meta
 
 
 def cmd_run_edge(params: dict, out_dir: Path, log: MetricLog, timing: MetricLog) -> list[str]:
     meta: list[str] = []
     x = _acquire_data(params, meta)
     d = x.shape[0]
-    energy, dp, cov_block = _edge_pieces(params, d, meta)
+    energy, dp, cov_block = _edge_pieces(params, x, meta)
     rank = min(params["rank"], d)
     client = EdgeClient(
         d,
@@ -357,7 +362,7 @@ def cmd_run_federated(params: dict, out_dir: Path, log: MetricLog, timing: Metri
     meta: list[str] = []
     x = _acquire_data(params, meta)
     d, n = x.shape
-    energy, dp, cov_block = _edge_pieces(params, d, meta)
+    energy, dp, cov_block = _edge_pieces(params, x, meta)
     leaves = params["leaves"]
     partition = partition_columns(n, leaves, params["policy"], params["seed"])
     streams = partition.split(x)
@@ -431,7 +436,7 @@ def _sweep_estimators(
     v_fpca = client.estimate.basis[:, 0]
 
     slab = next(masked_cov_blocks(x, d, scale_stream, rngs[1]))
-    v_direct = truncated_svd(slab.data, 1).left[:, 0]
+    v_direct = truncated_svd(slab.data, 1).basis[:, 0]
 
     cov = (x @ x.T) / n + symmetric_gaussian_mask(d, scale_sym, rngs[2])
     _, vecs = np.linalg.eigh(cov)
@@ -468,7 +473,7 @@ def cmd_utility_sweep(params: dict, out_dir: Path, log: MetricLog, timing: Metri
             if np.min(norms) <= 0:
                 raise DataError("degenerate zero column in sweep data")
             x = x / norms  # every sample on the unit sphere
-            v_true = truncated_svd(x, 1).left[:, 0]
+            v_true = truncated_svd(x, 1).basis[:, 0]
             for ei, eps_raw in enumerate(epsilons):
                 eps_eff = max(eps_raw, EPSILON_FLOOR)
                 dp = None if params["no_dp"] else DpConfig(eps_eff, params["delta"])

@@ -115,20 +115,19 @@ def _fresh_direction(basis: np.ndarray) -> np.ndarray:
 def ssvd(block, est: SubspaceEstimate, r: int) -> SubspaceEstimate:
     """Fold a raw matrix block into a rank-r estimate.
 
-    Empty estimate: plain truncated SVD of the block. Otherwise the block
-    is factored (orthonormal basis times its singular structure, via QR and
-    a small SVD) and merged, which equals the rank-r SVD of the column
-    concatenation [U*S | block].
+    This is the client's one fold, used for raw batches and for masked
+    covariance slabs alike. An empty estimate is seeded with the block's
+    own rank-r truncated SVD. Otherwise the block is reduced to its
+    zero-pruned subspace and merged, which equals the rank-r SVD of the
+    column concatenation [U*S | block]; an all-zero block reduces to the
+    empty estimate, which :func:`merge` treats as neutral.
     """
     m = ensure_matrix(block, "block")
     if m.shape[0] != est.dim:
         raise ValueError("block rows do not match estimate dimension")
     if est.rank == 0 or float(np.sum(est.values)) == 0.0:
         return subspace_of(m, r)
-    incoming = subspace_of(m)
-    if incoming.rank == 0:
-        return est.truncated(r)
-    return merge(est, incoming, r)
+    return merge(est, subspace_of(m), r)
 
 
 class EdgeClient:
@@ -237,7 +236,7 @@ class EdgeClient:
         # thread team to pay off.
         with single_thread():
             if self.dp is None:
-                updated = self._plain_update(m)
+                updated = ssvd(m, self.estimate.scaled(self.forgetting), self.rank)
             else:
                 updated = self._private_update(m, width)
 
@@ -249,14 +248,6 @@ class EdgeClient:
         self.estimate = updated
         self.blocks_seen += 1
         return self.estimate
-
-    def _plain_update(self, m: np.ndarray) -> SubspaceEstimate:
-        incoming = subspace_of(m)
-        if self.estimate.rank == 0:
-            return incoming.truncated(self.rank)
-        if incoming.rank == 0:
-            return self.estimate.scaled(self.forgetting).truncated(self.rank)
-        return merge(self.estimate.scaled(self.forgetting), incoming, self.rank)
 
     def _private_update(self, m: np.ndarray, width: int) -> SubspaceEstimate:
         if self.dp.omega_floor is not None:
@@ -275,10 +266,7 @@ class EdgeClient:
         if self.rescale_private and local.rank:
             local = SubspaceEstimate(local.basis, np.sqrt(width * local.values))
 
-        history = self.estimate.scaled(self.forgetting)
-        if local.rank == 0:
-            return history.truncated(self.rank)
-        return merge(local, history, self.rank)
+        return merge(local, self.estimate.scaled(self.forgetting), self.rank)
 
     def finalize(self) -> SubspaceEstimate:
         """Flush any buffered partial batch and return the estimate."""

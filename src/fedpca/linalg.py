@@ -39,19 +39,16 @@ def ensure_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def _fix_signs(left: np.ndarray, right: Optional[np.ndarray] = None) -> None:
+def _fix_signs(left: np.ndarray) -> None:
     """Flip columns in place so each column's largest-magnitude entry is positive.
 
-    Ties pick the lowest row index (np.argmax convention). The matching row
-    of ``right`` (a Vt-style factor) is flipped alongside so products are
-    preserved. An all-zero column is left as it is.
+    Ties pick the lowest row index (np.argmax convention). An all-zero
+    column is left as it is.
     """
     peak = np.argmax(np.abs(left), axis=0)
     flip = left[peak, np.arange(left.shape[1])] < 0
     if np.any(flip):
         left[:, flip] = -left[:, flip]
-        if right is not None:
-            right[flip, :] = -right[flip, :]
 
 
 def _zero_cutoff(values: np.ndarray, dim_max: int) -> float:
@@ -69,34 +66,6 @@ def _check_orthonormal(u: np.ndarray, tol_scale: float, what: str) -> None:
     dev = float(np.max(np.abs(gram - np.eye(r))))
     if dev > ORTHO_TOL * tol_scale:
         raise ValueError(f"{what} is not column-orthonormal (deviation {dev:.3e})")
-
-
-@dataclass(frozen=True)
-class SvdFactors:
-    """Rank-k SVD triplet. ``right`` is optional; the Gram route omits it."""
-
-    left: np.ndarray
-    values: np.ndarray
-    right: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        left = np.asarray(self.left, dtype=np.float64)
-        values = np.asarray(self.values, dtype=np.float64)
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "values", values)
-        if left.ndim != 2 or values.ndim != 1 or left.shape[1] != values.size:
-            raise ValueError("left factor and values disagree in rank")
-        if values.size and (np.any(values < 0) or np.any(values[:-1] < values[1:])):
-            raise ValueError("singular values must be non-increasing and non-negative")
-        scale = max(left.shape[0], 1)
-        if self.right is not None:
-            right = np.asarray(self.right, dtype=np.float64)
-            object.__setattr__(self, "right", right)
-            if right.ndim != 2 or right.shape[1] != values.size:
-                raise ValueError("right factor and values disagree in rank")
-            scale = max(scale, right.shape[0])
-            _check_orthonormal(right, scale, "right factor")
-        _check_orthonormal(left, scale, "left factor")
 
 
 @dataclass(frozen=True)
@@ -159,21 +128,21 @@ class SubspaceEstimate:
         return SubspaceEstimate(self.basis, self.values * weight)
 
 
-def truncated_svd(a, r: int) -> SvdFactors:
-    """Leading r singular triplets of a dense matrix.
+def truncated_svd(a, r: int) -> SubspaceEstimate:
+    """Leading r left singular vectors and values of a dense matrix.
 
     Up to DENSE_SVD_MAX_COLS columns this is a full LAPACK SVD truncated to
-    rank r; wider inputs go through the Gram matrix of the smaller dimension
-    (in which case the right factor is omitted). Column signs follow a fixed
-    convention: the largest-magnitude entry of each left vector is positive,
-    ties resolved at the lowest row index.
+    rank r; wider inputs go through the Gram matrix of the smaller dimension.
+    Column signs follow a fixed convention: the largest-magnitude entry of
+    each left vector is positive, ties resolved at the lowest row index.
 
     Args:
         a: d x n matrix with finite entries.
-        r: number of triplets, 1 <= r <= min(d, n).
+        r: number of directions, 1 <= r <= min(d, n).
 
     Returns:
-        SvdFactors with exactly r values (zeros included when rank(a) < r).
+        SubspaceEstimate with exactly r values (zeros included when
+        rank(a) < r).
     """
     m = ensure_matrix(a)
     d, n = m.shape
@@ -186,13 +155,10 @@ def truncated_svd(a, r: int) -> SvdFactors:
         accounting.note("truncated_svd.right", vt.shape)
         left = u[:, :r].copy()
         values = s[:r].copy()
-        right_t = vt[:r, :].copy()
-        _fix_signs(left, right_t)
-        return SvdFactors(left, values, right_t.T.copy())
-
-    left, values = _gram_leading(m, r)
+    else:
+        left, values = _gram_leading(m, r)
     _fix_signs(left)
-    return SvdFactors(left, values, None)
+    return SubspaceEstimate(left, values)
 
 
 def _gram_leading(m: np.ndarray, r: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -291,8 +257,7 @@ def subspace_of(a, r: Optional[int] = None) -> SubspaceEstimate:
         raise ValueError("requested rank must be at least 1")
     f = truncated_svd(m, k)
     cutoff = _zero_cutoff(f.values, max(d, n))
-    keep = int(np.sum(f.values > cutoff))
-    return SubspaceEstimate(f.left[:, :keep], f.values[:keep])
+    return f.truncated(int(np.sum(f.values > cutoff)))
 
 
 def merge(s1: SubspaceEstimate, s2: SubspaceEstimate, r: int) -> SubspaceEstimate:
@@ -302,7 +267,10 @@ def merge(s1: SubspaceEstimate, s2: SubspaceEstimate, r: int) -> SubspaceEstimat
     working only in the combined (r1 + r2)-dimensional frame: the second
     basis is split into its components inside and orthogonal to span(U1),
     the concatenation is rewritten over [U1 | Q], and a small dense SVD
-    finishes the job. Exact when r covers the combined rank.
+    finishes the job (the thin-SVD update of Brand, Linear Algebra Appl.
+    2006). Exact when r covers the combined rank. This is the package's
+    only merge: a weighted concatenation [w1*U1*S1 | w2*U2*S2] is
+    ``merge(s1.scaled(w1), s2.scaled(w2), r)``.
 
     The empty estimate is neutral: merging s with it returns s truncated
     to r.
@@ -339,89 +307,6 @@ def merge(s1: SubspaceEstimate, s2: SubspaceEstimate, r: int) -> SubspaceEstimat
         return SubspaceEstimate.empty(s1.dim)
 
     basis = np.hstack([u1, q]) @ u_in[:, :keep]
-    accounting.note("merge.basis", basis.shape)
-    _fix_signs(basis)
-    return SubspaceEstimate(basis, vals[:keep].copy())
-
-
-def _weighted_concat(
-    s1: SubspaceEstimate, s2: SubspaceEstimate, w_old: float, w_new: float
-) -> np.ndarray:
-    cols = []
-    if s1.rank:
-        cols.append(s1.basis * (w_old * s1.values))
-    if s2.rank:
-        cols.append(s2.basis * (w_new * s2.values))
-    c = np.hstack(cols)
-    accounting.note("merge.concat", c.shape)
-    return c
-
-
-def _check_weights(w_old: float, w_new: float) -> None:
-    if not 0 < w_old <= 1:
-        raise ValueError(f"history weight must lie in (0, 1], got {w_old}")
-    if w_new < 1:
-        raise ValueError(f"update weight must be >= 1, got {w_new}")
-
-
-def basic_merge(
-    s1: SubspaceEstimate,
-    s2: SubspaceEstimate,
-    r: int,
-    w_old: float = 1.0,
-    w_new: float = 1.0,
-) -> SubspaceEstimate:
-    """Direct rank-r SVD of the weighted concatenation [w1*U1*S1 | w2*U2*S2].
-
-    w_old in (0, 1] discounts the first estimate (forgetting), w_new >= 1
-    amplifies the second. Reference implementation; :func:`merge` and
-    :func:`faster_merge` agree with it at neutral weights.
-    """
-    _check_weights(w_old, w_new)
-    if s1.dim != s2.dim:
-        raise ValueError("estimates live in different ambient dimensions")
-    if not 1 <= r <= s1.dim:
-        raise ValueError(f"target rank {r} outside [1, {s1.dim}]")
-    if s1.rank == 0 and s2.rank == 0:
-        return SubspaceEstimate.empty(s1.dim)
-
-    c = _weighted_concat(s1, s2, w_old, w_new)
-    d, n = c.shape
-    f = truncated_svd(c, min(r, d, n))
-    cutoff = _zero_cutoff(f.values, max(d, n))
-    keep = int(np.sum(f.values > cutoff))
-    return SubspaceEstimate(f.left[:, :keep], f.values[:keep])
-
-
-def faster_merge(
-    s1: SubspaceEstimate,
-    s2: SubspaceEstimate,
-    r: int,
-    w_old: float = 1.0,
-    w_new: float = 1.0,
-) -> SubspaceEstimate:
-    """Same result as :func:`basic_merge` via QR of the concatenation.
-
-    The SVD runs on the small triangular factor, so the dense work on tall
-    inputs is a single QR pass.
-    """
-    _check_weights(w_old, w_new)
-    if s1.dim != s2.dim:
-        raise ValueError("estimates live in different ambient dimensions")
-    if not 1 <= r <= s1.dim:
-        raise ValueError(f"target rank {r} outside [1, {s1.dim}]")
-    if s1.rank == 0 and s2.rank == 0:
-        return SubspaceEstimate.empty(s1.dim)
-
-    c = _weighted_concat(s1, s2, w_old, w_new)
-    q, rr = np.linalg.qr(c)
-    accounting.note("merge.q", q.shape)
-    u_in, vals, _ = np.linalg.svd(rr)
-    cutoff = _zero_cutoff(vals, max(c.shape))
-    keep = min(r, int(np.sum(vals > cutoff)))
-    if keep == 0:
-        return SubspaceEstimate.empty(s1.dim)
-    basis = q @ u_in[:, :keep]
     accounting.note("merge.basis", basis.shape)
     _fix_signs(basis)
     return SubspaceEstimate(basis, vals[:keep].copy())

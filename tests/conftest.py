@@ -12,7 +12,7 @@ import re
 CRITERIA = {
     1: "federated runs reproduce the offline factorization",
     2: "results are invariant to column arrival order",
-    3: "merge variants agree on values and subspaces",
+    3: "merge agrees with a direct SVD of the concatenation",
     4: "hierarchy error stays within the depth bound",
     5: "noise scale calibration and minimum batch size",
     6: "privacy-utility trend across epsilon",

@@ -1,9 +1,10 @@
 """Independent reference implementations used only by the tests.
 
 Nothing here calls back into the package's kernels: the SVD oracle is a
-one-sided Jacobi iteration, the noise-scale oracles run in 60-digit
-arithmetic, and the subspace-distance oracle forms the full projectors the
-library deliberately avoids.
+one-sided Jacobi iteration, the merge oracle takes numpy's SVD of the
+explicit concatenation the merge never forms, the noise-scale oracles run
+in 60-digit arithmetic, and the subspace-distance oracle forms the full
+projectors the library deliberately avoids.
 """
 
 from __future__ import annotations
@@ -147,16 +148,31 @@ def mean_random_overlap(dim: int, reps: int, seed: int) -> np.ndarray:
     return out
 
 
-def fix_signs_loop(left, right=None) -> None:
+def fix_signs_loop(left) -> None:
     """Column-by-column sign convention, in place: largest |entry| positive.
 
-    Ties go to the lowest row (np.argmax), an all-zero column stays as it
-    is, and the matching row of ``right`` flips with its column.
+    Ties go to the lowest row (np.argmax) and an all-zero column stays as
+    it is.
     """
     for j in range(left.shape[1]):
         col = left[:, j]
         i = int(np.argmax(np.abs(col)))
         if col[i] < 0:
             left[:, j] = -col
-            if right is not None:
-                right[j, :] = -right[j, :]
+
+
+def concat_svd(s1, s2, r: int):
+    """Rank-r factors of [U1*S1 | U2*S2] from a direct SVD of the concatenation.
+
+    Weights enter through the estimates' values, e.g. ``s1.scaled(0.7)``.
+    Directions at or below max(d, columns) * eps * s_1 count as exact zeros
+    and are dropped, the cutoff the merge applies. Returns (basis, values).
+    """
+    cols = [s.basis * s.values for s in (s1, s2) if s.values.size]
+    if not cols:
+        return np.zeros((s1.basis.shape[0], 0)), np.zeros(0)
+    c = np.hstack(cols)
+    u, vals, _ = np.linalg.svd(c, full_matrices=False)
+    cutoff = max(c.shape) * np.finfo(np.float64).eps * vals[0]
+    keep = min(r, int(np.sum(vals > cutoff)))
+    return u[:, :keep], vals[:keep]

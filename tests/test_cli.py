@@ -6,7 +6,7 @@ import pytest
 
 from fedpca import _blas
 from fedpca.cli import EPSILON_FLOOR, main
-from fedpca.datasets import SynthSpec, load_csv, synth
+from fedpca.datasets import SynthSpec, load_csv, normalize_unit_ball, synth, synth_gaussian_cov
 from fedpca.federation import depth_error_probe
 from fedpca.linalg import singular_values
 
@@ -82,6 +82,33 @@ class TestRunEdge:
         widths = read_metrics(out, "batch_width")
         assert len(omegas) == 2 and len(widths) == 2
         assert all(float(r["value"]) > 0 for r in omegas)
+
+    def test_dp_on_columns_outside_unit_ball_warns(self, tmp_path, capsys):
+        out = tmp_path / "w"
+        run_ok(["run-edge", "--generator", "gauss", "--d", "20", "--n", "1000",
+                "--epsilon", "1", "--out", str(out)])
+        x = synth_gaussian_cov(20, 1000, 1.0, 0)
+        norms = np.linalg.norm(x, axis=0)
+        outside = int(np.sum(norms > 1.0))
+        assert outside > 0
+        expect = (f"warning: dp enabled but {outside} of 1000 columns lie outside "
+                  f"the unit ball (largest norm {np.max(norms):.6g})")
+        err = capsys.readouterr().err
+        assert err.count("warning:") == 1 and expect in err
+        manifest = (out / "manifest.txt").read_text()
+        assert sum(ln.startswith("# warning:") for ln in manifest.splitlines()) == 1
+        assert expect in manifest
+
+    def test_dp_on_normalized_columns_does_not_warn(self, tmp_path, capsys):
+        # at seed 13 the scaling leaves the largest norm one ulp above 1
+        scaled, _ = normalize_unit_ball(synth_gaussian_cov(20, 1000, 1.0, 13))
+        assert np.max(np.linalg.norm(scaled, axis=0)) == np.nextafter(1.0, 2.0)
+        out = tmp_path / "n"
+        run_ok(["run-edge", "--generator", "gauss", "--d", "20", "--n", "1000",
+                "--epsilon", "1", "--normalize", "unit-ball", "--seed", "13",
+                "--out", str(out)])
+        assert "warning" not in capsys.readouterr().err
+        assert "warning" not in (out / "manifest.txt").read_text()
 
     def test_missing_data_file_exit_3(self, tmp_path):
         assert main(["run-edge", "--data", str(tmp_path / "nope.csv"),

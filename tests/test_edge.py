@@ -98,7 +98,7 @@ class TestSsvd:
         out = ssvd(a, SubspaceEstimate.empty(6), 4)
         ref = truncated_svd(a, 4)
         assert np.max(np.abs(out.values - ref.values)) < 1e-12
-        assert projector_distance(out.basis, ref.left) < 1e-10
+        assert projector_distance(out.basis, ref.basis) < 1e-10
 
     def test_fold_equals_concat_svd(self):
         rng = np.random.default_rng(1)
@@ -121,7 +121,7 @@ class TestEdgeClientPlain:
         est = client.process_batch(batch)
         ref = truncated_svd(batch, 4)
         assert np.max(np.abs(est.values - ref.values)) < 1e-10
-        assert projector_distance(est.basis, ref.left) < 1e-8
+        assert projector_distance(est.basis, ref.basis) < 1e-8
 
     def test_full_rank_stream_matches_offline_svd(self):
         rng = np.random.default_rng(3)
@@ -169,6 +169,25 @@ class TestEdgeClientPlain:
         fade.process_batch(spike)
         fade.process_batch(later)
         assert fade.estimate.values[0] < keep.estimate.values[0]
+
+    def test_all_zero_first_batch_leaves_estimate_empty(self):
+        client = EdgeClient(dim=6, rank=3, batch_size=10, forgetting=0.5)
+        assert client.process_batch(np.zeros((6, 10))).rank == 0
+        batch = np.random.default_rng(13).standard_normal((6, 10))
+        est = client.process_batch(batch)
+        seed = subspace_of(batch, 3)
+        assert np.array_equal(est.values, seed.values)
+        assert np.array_equal(est.basis, seed.basis)
+
+    def test_all_zero_batch_mid_stream_discounts_history(self):
+        rng = np.random.default_rng(14)
+        client = EdgeClient(dim=6, rank=3, batch_size=10, forgetting=0.5)
+        client.process_batch(rng.standard_normal((6, 10)))
+        previous = client.process_batch(rng.standard_normal((6, 10)))
+        est = client.process_batch(np.zeros((6, 10)))
+        want = previous.scaled(0.5).truncated(3)
+        assert np.array_equal(est.values, want.values)
+        assert np.array_equal(est.basis, want.basis)
 
     def test_rank_adaptation_shrinks_on_spiked_data(self):
         # the spike subspace must stay fixed across batches, otherwise the

@@ -6,15 +6,13 @@ from hypothesis import strategies as st
 from fedpca.linalg import (
     SubspaceEstimate,
     _fix_signs,
-    basic_merge,
     economy_qr,
-    faster_merge,
     merge,
     singular_values,
     subspace_of,
     truncated_svd,
 )
-from oracles import fix_signs_loop, jacobi_svd, projector_distance
+from oracles import concat_svd, fix_signs_loop, jacobi_svd, projector_distance
 
 # one-sided Jacobi output for default_rng(7).standard_normal((10, 6))
 JACOBI_SEED7_VALUES = np.array(
@@ -38,23 +36,18 @@ def random_estimate(seed: int, d: int, r: int, cols: int = None) -> SubspaceEsti
 class TestFixSigns:
     def test_matches_column_loop_exactly(self):
         rng = np.random.default_rng(3)
-        for d, k, with_right in ((1, 1, True), (5, 1, True), (4, 7, True),
-                                 (9, 12, True), (30, 6, True), (6, 4, False), (3, 0, True)):
+        for d, k in ((1, 1), (5, 1), (4, 7), (9, 12), (30, 6), (6, 4), (3, 0)):
             # small integers give ties of opposite sign and all-zero columns
             left = rng.integers(-2, 3, size=(d, k)).astype(np.float64)
             if k:
                 left[:, 0] = 0.0
             if d > 1 and k > 1:
                 left[:2, -1] = [-2.0, 2.0]
-            right = rng.standard_normal((k, 5)) if with_right else None
             want_left = left.copy()
-            want_right = None if right is None else right.copy()
-            fix_signs_loop(want_left, want_right)
-            _fix_signs(left, right)
+            fix_signs_loop(want_left)
+            _fix_signs(left)
             assert np.array_equal(left, want_left)
             assert np.array_equal(np.signbit(left), np.signbit(want_left))
-            if with_right:
-                assert np.array_equal(right, want_right)
 
 
 class TestTruncatedSvd:
@@ -65,7 +58,7 @@ class TestTruncatedSvd:
     def test_diagonal(self):
         f = truncated_svd(np.diag([3.0, 2.0, 1.0]), 2)
         assert np.allclose(f.values, [3.0, 2.0], atol=1e-14)
-        assert np.allclose(np.abs(f.left[:, 0]), [1, 0, 0])
+        assert np.allclose(np.abs(f.basis[:, 0]), [1, 0, 0])
 
     def test_seed7_against_jacobi_oracle(self):
         a = np.random.default_rng(7).standard_normal((10, 6))
@@ -73,18 +66,18 @@ class TestTruncatedSvd:
         assert np.max(np.abs(f.values - JACOBI_SEED7_VALUES)) < 1e-10
         left, vals = jacobi_svd(a)
         assert np.max(np.abs(f.values - vals)) < 1e-10
-        assert projector_distance(f.left, left) < 1e-8
+        assert projector_distance(f.basis, left) < 1e-8
 
     def test_reconstruction(self):
         a = np.random.default_rng(3).standard_normal((7, 5))
         f = truncated_svd(a, 5)
-        assert np.allclose((f.left * f.values) @ f.right.T, a, atol=1e-12)
+        assert np.allclose(f.basis @ (f.basis.T @ a), a, atol=1e-12)
 
     def test_sign_convention(self):
         a = np.random.default_rng(11).standard_normal((9, 4))
         f = truncated_svd(a, 4)
         for j in range(4):
-            col = f.left[:, j]
+            col = f.basis[:, j]
             assert col[int(np.argmax(np.abs(col)))] > 0
 
     def test_permutation_invariance_of_values(self):
@@ -100,8 +93,7 @@ class TestTruncatedSvd:
         s = np.linalg.svd(a, compute_uv=False)
         assert np.max(np.abs(f.values - s[:10])) < 1e-8
         u, _, _ = np.linalg.svd(a, full_matrices=False)
-        assert projector_distance(f.left, u[:, :10]) < 1e-8
-        assert f.right is None
+        assert projector_distance(f.basis, u[:, :10]) < 1e-8
 
     def test_rank_bounds(self):
         with pytest.raises(ValueError):
@@ -170,6 +162,9 @@ class TestSubspaceEstimate:
         assert t.rank == 2 and np.allclose(t.values, [3, 2])
         w = s.scaled(0.5)
         assert np.allclose(w.values, [1.5, 1.0, 0.5])
+        for bad in (0.0, -0.1):
+            with pytest.raises(ValueError):
+                s.scaled(bad)
 
 
 class TestMerge:
@@ -233,20 +228,19 @@ class TestMerge:
 
 
 class TestMergeVariants:
+    """Weighted and seeded merges against a direct SVD of the concatenation."""
+
     def test_neutral_weights_match_merge(self):
         s1 = random_estimate(4, 12, 5)
         s2 = random_estimate(5, 12, 4)
         a = merge(s1, s2, 6)
-        b = basic_merge(s1, s2, 6)
-        c = faster_merge(s1, s2, 6)
-        assert np.max(np.abs(a.values - b.values)) < 1e-10
-        assert np.max(np.abs(a.values - c.values)) < 1e-10
-        assert projector_distance(a.basis, b.basis) < 1e-8
-        assert projector_distance(a.basis, c.basis) < 1e-8
+        basis, values = concat_svd(s1, s2, 6)
+        assert np.max(np.abs(a.values - values)) < 1e-10
+        assert projector_distance(a.basis, basis) < 1e-8
 
     def test_forgetting_scales_lone_estimate(self):
         s = random_estimate(6, 9, 3)
-        out = basic_merge(s, SubspaceEstimate.empty(9), 3, w_old=0.5)
+        out = merge(s.scaled(0.5), SubspaceEstimate.empty(9), 3)
         assert np.allclose(out.values, 0.5 * s.values, atol=1e-12)
 
     def test_weighted_against_direct_svd(self):
@@ -254,9 +248,8 @@ class TestMergeVariants:
         s2 = random_estimate(8, 10, 3)
         concat = np.hstack([0.7 * s1.basis * s1.values, 2.0 * s2.basis * s2.values])
         expect = np.linalg.svd(concat, compute_uv=False)
-        for fn in (basic_merge, faster_merge):
-            out = fn(s1, s2, 5, w_old=0.7, w_new=2.0)
-            assert np.max(np.abs(out.values - expect[:5])) < 1e-10
+        out = merge(s1.scaled(0.7), s2.scaled(2.0), 5)
+        assert np.max(np.abs(out.values - expect[:5])) < 1e-10
 
     def test_twenty_seeded_pairs_agree(self):
         for seed in range(20):
@@ -265,16 +258,8 @@ class TestMergeVariants:
             s1 = subspace_of(rng.standard_normal((d, d)), int(rng.integers(1, d)))
             s2 = subspace_of(rng.standard_normal((d, d)), int(rng.integers(1, d)))
             r = int(rng.integers(1, d + 1))
-            b = basic_merge(s1, s2, r)
-            f = faster_merge(s1, s2, r)
-            assert np.max(np.abs(b.values - f.values)) < 1e-8
-            assert b.rank == f.rank
-            assert projector_distance(b.basis, f.basis) < 1e-8
-
-    def test_weight_validation(self):
-        s = random_estimate(1, 6, 2)
-        for bad in (0.0, -0.1, 1.5):
-            with pytest.raises(ValueError):
-                basic_merge(s, s, 2, w_old=bad)
-        with pytest.raises(ValueError):
-            faster_merge(s, s, 2, w_new=0.5)
+            out = merge(s1, s2, r)
+            basis, values = concat_svd(s1, s2, r)
+            assert np.max(np.abs(out.values - values)) < 1e-8
+            assert out.rank == values.size
+            assert projector_distance(out.basis, basis) < 1e-8
