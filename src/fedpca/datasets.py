@@ -8,6 +8,7 @@ deterministic given the seed: the same spec always yields the same bytes.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Tuple
@@ -15,6 +16,12 @@ from typing import Tuple
 import numpy as np
 
 from .linalg import economy_qr, ensure_matrix
+
+
+# Columns shaped per product in synth_gaussian_cov; the generator's only
+# temporary is d x GENERATE_BLOCK (under 1.5 times that for the last block).
+# Each product re-packs the d x d shaper, a cost that falls as 1/block.
+GENERATE_BLOCK = 1024
 
 
 class DataError(ValueError):
@@ -56,13 +63,28 @@ def synth(spec: SynthSpec) -> np.ndarray:
 
 
 def synth_gaussian_cov(d: int, n: int, alpha: float, seed: int) -> np.ndarray:
-    """n iid samples (columns) from N(0, S diag(i**-alpha) S^T), S orthogonal."""
+    """n iid samples (columns) from N(0, S diag(i**-alpha) S^T), S orthogonal.
+
+    The standard normal draw z is shaped in place, GENERATE_BLOCK columns at
+    a time, so generation holds one d x n array plus a d x block temporary.
+    The last block absorbs a remainder narrower than half a block, so no
+    block is a sliver. Below 1.5 * GENERATE_BLOCK columns the single block
+    is the one-shot product shaper @ z; past that, a column can differ from
+    the one-shot product in its last bits where the BLAS picks another
+    kernel for a block than for the whole matrix.
+    """
     spec = SynthSpec(d, n, alpha, seed)  # reuse validation
     rng = np.random.default_rng(spec.seed)
     basis, _ = economy_qr(rng.standard_normal((d, d)))
     lam = np.arange(1, d + 1, dtype=np.float64) ** (-alpha)
     shaper = basis * np.sqrt(lam)
-    return shaper @ rng.standard_normal((d, n))
+    z = rng.standard_normal((d, n))
+    lo = 0
+    while lo < n:
+        hi = n if n - lo < GENERATE_BLOCK + GENERATE_BLOCK // 2 else lo + GENERATE_BLOCK
+        z[:, lo:hi] = shaper @ z[:, lo:hi]
+        lo = hi
+    return z
 
 
 def load_csv(path, orientation: str = "columns", normalize: str = "none") -> np.ndarray:
@@ -121,15 +143,20 @@ def normalize_unit_ball(x) -> Tuple[np.ndarray, float]:
     """Scale all columns by 1 / max(1, largest column norm).
 
     Returns the scaled matrix and the divisor actually applied, so callers
-    can record it. Never scales up: data already inside the unit ball is
-    returned unchanged with factor 1.
+    can record it. Every column norm of the result is <= 1: where rounding
+    leaves the largest one an ulp above 1, the divisor is stepped up to the
+    next float until it is not. Never scales up: data already inside the
+    unit ball is returned unchanged with factor 1.
     """
     m = ensure_matrix(x)
-    largest = float(np.max(np.linalg.norm(m, axis=0)))
-    factor = max(1.0, largest)
+    factor = max(1.0, float(np.max(np.linalg.norm(m, axis=0))))
     if factor == 1.0:
         return m, 1.0
-    return m / factor, factor
+    scaled = m / factor
+    while float(np.max(np.linalg.norm(scaled, axis=0))) > 1.0:
+        factor = float(np.nextafter(factor, math.inf))
+        scaled = m / factor
+    return scaled, factor
 
 
 def save_matrix_csv(path, x) -> None:
@@ -150,23 +177,42 @@ class StreamPartition:
     assignments: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        seen: set[int] = set()
-        for client in self.assignments:
-            for prev, cur in zip(client, client[1:]):
-                if cur <= prev:
-                    raise ValueError("client indices must be strictly increasing")
-            seen.update(client)
-        if len(seen) != self.n or (seen and (min(seen) < 0 or max(seen) >= self.n)):
+        sizes = np.fromiter(map(len, self.assignments), dtype=np.intp,
+                            count=len(self.assignments))
+        flat = np.fromiter(itertools.chain.from_iterable(self.assignments),
+                           dtype=np.int64, count=int(sizes.sum()))
+        steps = np.diff(flat)
+        # the step onto a client's first index may go down
+        starts = np.cumsum(sizes)[:-1]
+        steps[starts[(starts > 0) & (starts < flat.size)] - 1] = 1
+        if np.any(steps <= 0):
+            raise ValueError("client indices must be strictly increasing")
+        if (flat.size and (flat.min() < 0 or flat.max() >= self.n)) or (
+            np.count_nonzero(np.bincount(flat, minlength=self.n)) != self.n
+        ):
             raise ValueError("assignments must partition range(n)")
-        if sum(len(c) for c in self.assignments) != self.n:
+        if flat.size != self.n:
             raise ValueError("assignments overlap")
 
     def split(self, x: np.ndarray) -> list[np.ndarray]:
-        """Materialize one column block per client."""
+        """One column block per client.
+
+        A share that is a contiguous run of columns (every share under the
+        contiguous policy) comes back as a view of the input, others as a
+        copy.
+        """
         m = ensure_matrix(x)
         if m.shape[1] != self.n:
             raise ValueError(f"matrix has {m.shape[1]} columns, expected {self.n}")
-        return [m[:, list(idx)] if idx else m[:, :0] for idx in self.assignments]
+        blocks = []
+        for idx in self.assignments:
+            if not idx:
+                blocks.append(m[:, :0])
+            elif idx[-1] - idx[0] + 1 == len(idx):
+                blocks.append(m[:, idx[0] : idx[-1] + 1])
+            else:
+                blocks.append(m[:, list(idx)])
+        return blocks
 
 
 def partition_columns(

@@ -9,10 +9,11 @@ schedule machinery here makes directly testable.
 
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -133,26 +134,29 @@ def aggregate_once(children: Sequence[SubspaceEstimate], r: int) -> SubspaceEsti
     return acc.truncated(r)
 
 
-def _interleaving(lengths: Sequence[int], schedule: str, seed: int) -> list[int]:
-    """Client visit order; entry i means 'next unseen column of client i'."""
-    total = sum(lengths)
+def _interleaving(lengths: Sequence[int], schedule: str, seed: int) -> Iterator[int]:
+    """Client visit order; entry i means 'next unseen column of client i'.
+
+    Yielded lazily, so no list of every column's client is held during a
+    run.
+    """
     if schedule == "synchronous_rounds":
-        order = []
         for t in range(max(lengths, default=0)):
             for i, n in enumerate(lengths):
                 if t < n:
-                    order.append(i)
-        return order
+                    yield i
+        return
     rng = np.random.default_rng(seed)
     if schedule == "random_interleave":
         tokens = np.repeat(np.arange(len(lengths)), lengths)
         rng.shuffle(tokens)
-        return [int(i) for i in tokens]
+        for i in tokens:
+            yield int(i)
+        return
     if schedule == "adversarial_permutation":
-        order = []
         for i in rng.permutation(len(lengths)):
-            order.extend([int(i)] * lengths[int(i)])
-        return order
+            yield from itertools.repeat(int(i), lengths[int(i)])
+        return
     raise ValueError(f"unknown schedule {schedule!r}")
 
 

@@ -29,7 +29,6 @@ REGISTERED_METRICS = frozenset(
         "energy_ratio",
         "global_value",
         "singular_value",
-        "schedule_replay_max_dev",
         "noise_omega",
         "batch_width",
         "qa_signed",
@@ -61,17 +60,19 @@ def projection_error(y, basis) -> float:
     """Mean squared residual per column after projecting onto the basis.
 
     (||Y||_F^2 - ||U^T Y||_F^2) / n for a column-orthonormal U; the d x d
-    projector is never formed.
+    projector is never formed. The sums of squares are reduced without a
+    d x n float temporary; the r x n projection and the one-byte finiteness
+    mask of ensure_matrix are the only temporaries that grow with n.
     """
     m = ensure_matrix(y)
     u = np.asarray(basis, dtype=np.float64)
     if u.ndim != 2 or u.shape[0] != m.shape[0]:
         raise ValueError("basis rows must match the data dimension")
     _require_orthonormal(u)
-    total = float(np.sum(m * m))
+    total = float(np.einsum("ij,ij->", m, m))
     if u.shape[1]:
         proj = u.T @ m
-        total -= float(np.sum(proj * proj))
+        total -= float(np.einsum("ij,ij->", proj, proj))
     return max(total, 0.0) / m.shape[1]
 
 

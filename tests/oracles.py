@@ -176,3 +176,47 @@ def concat_svd(s1, s2, r: int):
     cutoff = max(c.shape) * np.finfo(np.float64).eps * vals[0]
     keep = min(r, int(np.sum(vals > cutoff)))
     return u[:, :keep], vals[:keep]
+
+
+def gaussian_cov_factors(d: int, n: int, alpha: float, seed: int):
+    """(shaper, z) of the Gaussian generator, from the same seeded draws.
+
+    ``synth_gaussian_cov`` returns shaper @ z, formed in column blocks; the
+    one-shot product of these factors is the definition the blocks must
+    reproduce.
+    """
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.standard_normal((d, d)))
+    basis = q * np.where(np.diag(r) < 0, -1.0, 1.0)  # non-negative R diagonal
+    lam = np.arange(1, d + 1, dtype=np.float64) ** (-alpha)
+    return basis * np.sqrt(lam), rng.standard_normal((d, n))
+
+
+def projection_error_squares(y, basis) -> float:
+    """(||Y||_F^2 - ||U^T Y||_F^2) / n with both squares formed elementwise."""
+    m = np.asarray(y, dtype=np.float64)
+    proj = basis.T @ m
+    total = float(np.sum(m * m)) - float(np.sum(proj * proj))
+    return max(total, 0.0) / m.shape[1]
+
+
+def interleaving_list(lengths, schedule: str, seed: int) -> list:
+    """Client visit order of each schedule, built as one list up front."""
+    if schedule == "synchronous_rounds":
+        order = []
+        for t in range(max(lengths, default=0)):
+            for i, n in enumerate(lengths):
+                if t < n:
+                    order.append(i)
+        return order
+    rng = np.random.default_rng(seed)
+    if schedule == "random_interleave":
+        tokens = np.repeat(np.arange(len(lengths)), lengths)
+        rng.shuffle(tokens)
+        return [int(i) for i in tokens]
+    if schedule == "adversarial_permutation":
+        order = []
+        for i in rng.permutation(len(lengths)):
+            order.extend([int(i)] * lengths[int(i)])
+        return order
+    raise ValueError(f"unknown schedule {schedule!r}")

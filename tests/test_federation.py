@@ -6,6 +6,7 @@ from fedpca.edge import EdgeClient
 from fedpca.federation import (
     SCHEDULES,
     FederationConfig,
+    _interleaving,
     aggregate_once,
     build_tree,
     depth_error_probe,
@@ -13,7 +14,7 @@ from fedpca.federation import (
 )
 from fedpca.linalg import SubspaceEstimate, subspace_of
 from fedpca.privacy import DpConfig
-from oracles import projector_distance
+from oracles import interleaving_list, projector_distance
 
 
 def global_matrix(seed, d, n):
@@ -125,6 +126,14 @@ class TestRunFederation:
         for est in results[1:]:
             assert np.array_equal(est.values, base.values)
             assert np.array_equal(est.basis, base.basis)
+
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    def test_interleaving_matches_list_oracle(self, schedule):
+        for lengths in ([5, 0, 3, 7, 1], [0, 0], [], [4]):
+            for seed in (0, 31):
+                got = _interleaving(lengths, schedule, seed)
+                assert not isinstance(got, list)
+                assert list(got) == interleaving_list(lengths, schedule, seed)
 
     def test_thread_pool_is_result_identical(self):
         y = global_matrix(4, 8, 80)

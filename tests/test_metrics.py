@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from fedpca.metrics import (
     residual_rho,
     subspace_distance,
 )
-from oracles import projector_distance, rotation_grid_procrustes
+from oracles import projection_error_squares, projector_distance, rotation_grid_procrustes
 
 
 class TestResidualRho:
@@ -74,6 +75,27 @@ class TestProjectionError:
     def test_rejects_skew_basis(self):
         with pytest.raises(ValueError):
             projection_error(np.eye(3), np.ones((3, 2)))
+
+    def test_matches_elementwise_squares(self):
+        rng = np.random.default_rng(6)
+        y = rng.standard_normal((40, 3000)) * np.linspace(1.0, 0.1, 40)[:, None]
+        for r in (0, 1, 5, 20):
+            u = np.linalg.svd(y, full_matrices=False)[0][:, :r]
+            for cols in (1, 50, 3000):
+                want = projection_error_squares(y[:, :cols], u)
+                assert projection_error(y[:, :cols], u) == pytest.approx(want, rel=1e-12)
+
+    def test_no_data_sized_temporary(self):
+        y = np.random.default_rng(7).standard_normal((100, 10_000))
+        u = np.linalg.qr(np.random.default_rng(8).standard_normal((100, 10)))[0]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            projection_error(y, u)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.3 * y.nbytes
 
 
 class TestQaOverlap:
