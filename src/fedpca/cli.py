@@ -8,8 +8,8 @@ result, and `fedpca replay manifest.txt --out DIR` re-runs it. Replayed
 runs reproduce metrics.csv and matrix.csv byte for byte (timings.csv is
 wall-clock and excluded from that promise).
 
-Exit codes: 0 success, 2 configuration error, 3 data error, 4 the privacy
-budget cannot be met at the configured batch width.
+Exit codes: 0 success, 2 configuration error, 3 data or file error, 4 the
+privacy budget cannot be met at the configured batch width.
 """
 
 from __future__ import annotations
@@ -20,9 +20,10 @@ import math
 import os
 import sys
 import time
+import warnings
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -69,7 +70,7 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# parameter schemas: name -> (cast from string, default)
+# parameters: one row each drives the parser, config files and manifests
 
 def _cast_bool(s: str) -> bool:
     low = s.strip().lower()
@@ -80,96 +81,69 @@ def _cast_bool(s: str) -> bool:
     raise ConfigError(f"expected a boolean, got {s!r}")
 
 
-def _float_list(text: str) -> list[float]:
+def _parse_list(text: str, cast: Callable) -> list:
     try:
-        vals = [float(piece) for piece in text.split(",") if piece.strip() != ""]
+        vals = [cast(piece) for piece in text.split(",") if piece.strip() != ""]
     except ValueError:
-        raise ConfigError(f"expected comma-separated numbers, got {text!r}") from None
+        raise ConfigError(f"expected comma-separated {cast.__name__} values, got {text!r}") from None
     if not vals:
         raise ConfigError("empty list parameter")
     return vals
 
 
-def _int_list(text: str) -> list[int]:
-    try:
-        vals = [int(piece) for piece in text.split(",") if piece.strip() != ""]
-    except ValueError:
-        raise ConfigError(f"expected comma-separated integers, got {text!r}") from None
-    if not vals:
-        raise ConfigError("empty list parameter")
-    return vals
+class Param(NamedTuple):
+    """One parameter; ``name`` is its config and manifest key."""
+
+    name: str
+    cast: Callable = str
+    default: object = None
+    help: str = ""
+    choices: Optional[tuple] = None
+    flag: Optional[str] = None  # when it is not --name-with-dashes
 
 
-_DATA_PARAMS = {
-    "data": (str, None),
-    "orientation": (str, "columns"),
-    "normalize": (str, "none"),
-    "d": (int, None),
-    "n": (int, None),
-    "alpha": (float, 1.0),
-    "generator": (str, "svd"),
-}
+PARAMS = {row.name: row for row in (
+    Param("seed", int, 0, "root seed"),
+    Param("data", help="CSV matrix to load instead of synthesizing"),
+    Param("orientation", default="columns", help="how --data lays out samples",
+          choices=("columns", "rows")),
+    Param("normalize", default="none", help="scale the columns into the unit ball",
+          choices=("none", "unit-ball")),
+    Param("d", int, help="rows of the synthetic matrix"),
+    Param("n", int, help="columns of the synthetic matrix"),
+    Param("alpha", float, 1.0, "spectrum decay exponent"),
+    Param("generator", default="svd", help="synthetic generator", choices=("svd", "gauss")),
+    Param("rank", int, 10, "target rank"),
+    Param("batch", int, 50, "batch width"),
+    Param("forgetting", float, 1.0, "forgetting factor in (0, 1]", flag="--lambda"),
+    Param("adaptive", _cast_bool, False, "enable energy-based rank adaptation"),
+    Param("energy_alpha", float, 0.01, "lower edge of the energy band"),
+    Param("energy_beta", float, 0.10, "upper edge of the energy band"),
+    Param("max_rank", int, help="rank cap under --adaptive"),
+    Param("cov_block", int, help="covariance slab width (default min(d, 64))"),
+    Param("epsilon", float, 0.1, "privacy budget epsilon"),
+    Param("delta", float, 0.1, "privacy budget delta"),
+    Param("no_dp", _cast_bool, False, "disable the privacy mask"),
+    Param("omega_floor", float, help="reject batches whose noise scale would exceed this"),
+    Param("rescale_private", _cast_bool, False, "rescale private values to the data scale"),
+    Param("leaves", int, 4, "number of clients"),
+    Param("fanout", int, 2, "aggregation arity"),
+    Param("schedule", default="synchronous_rounds", help="observation schedule",
+          choices=SCHEDULES),
+    Param("schedule_seed", int, 0, "seed of the random schedules"),
+    Param("policy", default="contiguous", help="column partition policy",
+          choices=("contiguous", "round_robin", "seeded_shuffle")),
+    Param("threads", int, os.cpu_count() or 1, "leaf thread pool size, one per cpu"),
+    Param("alphas", default="0.01,1.0", help="comma-separated decay exponents"),
+    Param("epsilons", default="0.1,0.5,1.0,2.0,4.0", help="comma-separated epsilon grid"),
+    Param("reps", int, 20, "repetitions per decay exponent"),
+    Param("depths", default="1,2,3", help="comma-separated tree depths"),
+)}
 
-_EDGE_PARAMS = {
-    "rank": (int, 10),
-    "batch": (int, 50),
-    "forgetting": (float, 1.0),
-    "adaptive": (_cast_bool, False),
-    "energy_alpha": (float, 0.01),
-    "energy_beta": (float, 0.10),
-    "max_rank": (int, None),
-    "cov_block": (int, None),
-    "epsilon": (float, 0.1),
-    "delta": (float, 0.1),
-    "no_dp": (_cast_bool, False),
-    "omega_floor": (float, None),
-    "rescale_private": (_cast_bool, False),
-}
-
-SCHEMAS: dict[str, dict] = {
-    "synth": {
-        "seed": (int, 0),
-        "d": (int, None),
-        "n": (int, None),
-        "alpha": (float, 1.0),
-        "generator": (str, "svd"),
-    },
-    "run-edge": {"seed": (int, 0), **_DATA_PARAMS, **_EDGE_PARAMS},
-    "run-federated": {
-        "seed": (int, 0),
-        **_DATA_PARAMS,
-        **_EDGE_PARAMS,
-        "leaves": (int, 4),
-        "fanout": (int, 2),
-        "schedule": (str, "synchronous_rounds"),
-        "schedule_seed": (int, 0),
-        "policy": (str, "contiguous"),
-        "threads": (int, os.cpu_count() or 1),
-    },
-    "utility-sweep": {
-        "seed": (int, 0),
-        "d": (int, 20),
-        "n": (int, 5000),
-        "alphas": (str, "0.01,1.0"),
-        "epsilons": (str, "0.1,0.5,1.0,2.0,4.0"),
-        "reps": (int, 20),
-        "rank": (int, 10),
-        "cov_block": (int, None),
-        "delta": (float, 0.1),
-        "no_dp": (_cast_bool, False),
-    },
-    "depth-probe": {
-        "seed": (int, 0),
-        **_DATA_PARAMS,
-        "fanout": (int, 2),
-        "depths": (str, "1,2,3"),
-        "rank": (int, 8),
-    },
-}
-
-# depth-probe defaults differ from the shared data block
-SCHEMAS["depth-probe"]["d"] = (int, 32)
-SCHEMAS["depth-probe"]["n"] = (int, 256)
+_DATA = ("data", "orientation", "normalize", "d", "n", "alpha", "generator")
+_EDGE = ("rank", "batch", "forgetting", "adaptive", "energy_alpha", "energy_beta",
+         "max_rank", "cov_block", "epsilon", "delta", "no_dp", "omega_floor",
+         "rescale_private")
 
 
 def _stringify(value) -> str:
@@ -200,22 +174,27 @@ def load_key_values(path) -> dict[str, str]:
     return out
 
 
+def _default(command: str, name: str):
+    return COMMANDS[command].defaults.get(name, PARAMS[name].default)
+
+
 def resolve_params(command: str, flags, config: dict[str, str]) -> dict:
-    """Flags beat config values beat defaults; unknown config keys fail."""
-    schema = SCHEMAS[command]
-    unknown = set(config) - set(schema) - {"command"}
+    """Flags beat config values beat defaults; unknown keys and bad choices fail."""
+    names = COMMANDS[command].params
+    unknown = set(config) - set(names) - {"command"}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     params = {}
-    for name, (cast, default) in schema.items():
-        flag_val = getattr(flags, name, None)
-        if flag_val is not None:
-            params[name] = flag_val
-        elif name in config:
-            raw = config[name]
-            params[name] = default if raw == "" else cast(raw)
-        else:
-            params[name] = default
+    for name in names:
+        row = PARAMS[name]
+        value = getattr(flags, name, None)
+        if value is None and config.get(name, "") != "":
+            value = row.cast(config[name])
+        if value is None:
+            value = _default(command, name)
+        elif row.choices is not None and value not in row.choices:
+            raise ConfigError(f"{name} must be one of {', '.join(row.choices)}, got {value!r}")
+        params[name] = value
     return params
 
 
@@ -249,15 +228,10 @@ def _acquire_data(params: dict, meta: list[str]) -> np.ndarray:
     else:
         if params.get("d") is None or params.get("n") is None:
             raise ConfigError("need --data or both --d and --n")
-        gen = params.get("generator", "svd")
-        if gen == "svd":
+        if params["generator"] == "svd":
             x = synth(SynthSpec(params["d"], params["n"], params["alpha"], params["seed"]))
-        elif gen == "gauss":
-            x = synth_gaussian_cov(
-                params["d"], params["n"], params["alpha"], params["seed"]
-            )
         else:
-            raise ConfigError(f"unknown generator {gen!r}")
+            x = synth_gaussian_cov(params["d"], params["n"], params["alpha"], params["seed"])
     if params.get("normalize", "none") == "unit-ball":
         x, factor = normalize_unit_ball(x)
         meta.append(f"unit_ball_scale={factor!r}")
@@ -265,15 +239,10 @@ def _acquire_data(params: dict, meta: list[str]) -> np.ndarray:
 
 
 def _edge_pieces(params: dict, x: np.ndarray, meta: list[str]):
-    """EnergyBounds / DpConfig / cov width shared by edge and federated runs."""
-    d, n = x.shape
-    energy = None
-    if params["adaptive"]:
-        energy = EnergyBounds(
-            params["energy_alpha"], params["energy_beta"], params["max_rank"]
-        )
-        if params["energy_alpha"] / params["energy_beta"] >= 0.3:
-            meta.append("warning: energy band lower/upper >= 0.3; rank may oscillate")
+    """EnergyBounds / DpConfig shared by edge and federated runs."""
+    n = x.shape[1]
+    energy = (EnergyBounds(params["energy_alpha"], params["energy_beta"], params["max_rank"])
+              if params["adaptive"] else None)
     dp = None
     if not params["no_dp"]:
         dp = DpConfig(params["epsilon"], params["delta"], params["omega_floor"])
@@ -285,13 +254,7 @@ def _edge_pieces(params: dict, x: np.ndarray, meta: list[str]):
                 f"the unit ball (largest norm {float(np.max(norms)):.6g}); the "
                 "budget assumes every column norm <= 1"
             )
-    cov_block = params["cov_block"] if params["cov_block"] else min(d, 64)
-    if params["batch"] < params["rank"]:
-        meta.append(
-            f"warning: batch width {params['batch']} below target rank "
-            f"{params['rank']}; per-batch summaries stay rank-deficient"
-        )
-    return energy, dp, cov_block
+    return energy, dp
 
 
 def _log_edge_rows(log: MetricLog, timing: MetricLog, x: np.ndarray, client: EdgeClient, batch: int) -> None:
@@ -335,7 +298,7 @@ def cmd_run_edge(params: dict, out_dir: Path, log: MetricLog, timing: MetricLog)
     meta: list[str] = []
     x = _acquire_data(params, meta)
     d = x.shape[0]
-    energy, dp, cov_block = _edge_pieces(params, x, meta)
+    energy, dp = _edge_pieces(params, x, meta)
     rank = min(params["rank"], d)
     client = EdgeClient(
         d,
@@ -343,7 +306,7 @@ def cmd_run_edge(params: dict, out_dir: Path, log: MetricLog, timing: MetricLog)
         batch_size=params["batch"],
         energy=energy,
         dp=dp,
-        cov_block_width=cov_block,
+        cov_block_width=params["cov_block"],
         forgetting=params["forgetting"],
         rng=derive_rng(params["seed"], 0) if dp is not None else None,
         rescale_private=params["rescale_private"],
@@ -358,7 +321,7 @@ def cmd_run_federated(params: dict, out_dir: Path, log: MetricLog, timing: Metri
     meta: list[str] = []
     x = _acquire_data(params, meta)
     d, n = x.shape
-    energy, dp, cov_block = _edge_pieces(params, x, meta)
+    energy, dp = _edge_pieces(params, x, meta)
     leaves = params["leaves"]
     partition = partition_columns(n, leaves, params["policy"], params["seed"])
     streams = partition.split(x)
@@ -370,7 +333,7 @@ def cmd_run_federated(params: dict, out_dir: Path, log: MetricLog, timing: Metri
         batch_size=params["batch"],
         energy=energy,
         dp=dp,
-        cov_block_width=cov_block,
+        cov_block_width=params["cov_block"],
         forgetting=params["forgetting"],
         schedule=params["schedule"],
         schedule_seed=params["schedule_seed"],
@@ -394,7 +357,7 @@ def cmd_run_federated(params: dict, out_dir: Path, log: MetricLog, timing: Metri
 def _sweep_estimators(
     x: np.ndarray,
     rank: int,
-    cov_block: int,
+    cov_block: Optional[int],
     dp: Optional[DpConfig],
     rngs: tuple[np.random.Generator, np.random.Generator, np.random.Generator],
 ) -> dict[str, np.ndarray]:
@@ -431,13 +394,12 @@ def _sweep_estimators(
 def cmd_utility_sweep(params: dict, out_dir: Path, log: MetricLog, timing: MetricLog) -> list[str]:
     meta: list[str] = []
     d, n = params["d"], params["n"]
-    alphas = _float_list(params["alphas"])
-    epsilons = _float_list(params["epsilons"])
+    alphas = _parse_list(params["alphas"], float)
+    epsilons = _parse_list(params["epsilons"], float)
     reps = params["reps"]
     if reps < 1:
         raise ConfigError("reps must be positive")
     rank = min(params["rank"], d)
-    cov_block = params["cov_block"] if params["cov_block"] else min(d, 64)
     clipped = sorted({e for e in epsilons if e < EPSILON_FLOOR})
     if clipped:
         meta.append(
@@ -463,7 +425,7 @@ def cmd_utility_sweep(params: dict, out_dir: Path, log: MetricLog, timing: Metri
                 rngs = tuple(
                     derive_rng(params["seed"], ai, rep, ei, which) for which in range(3)
                 )
-                estimates = _sweep_estimators(x, rank, cov_block, dp, rngs)
+                estimates = _sweep_estimators(x, rank, params["cov_block"], dp, rngs)
                 for method, v_hat in estimates.items():
                     tags = {
                         "alpha": alpha,
@@ -482,7 +444,7 @@ def cmd_depth_probe(params: dict, out_dir: Path, log: MetricLog, timing: MetricL
     x = _acquire_data(params, meta)
     d = x.shape[0]
     rank = min(params["rank"], d)
-    for depth in _int_list(params["depths"]):
+    for depth in _parse_list(params["depths"], int):
         measured, bound = depth_error_probe(x, params["fanout"], depth, rank)
         tags = {"fanout": params["fanout"], "rank": rank}
         log.add("measured_error", measured, t=depth, **tags)
@@ -491,12 +453,30 @@ def cmd_depth_probe(params: dict, out_dir: Path, log: MetricLog, timing: MetricL
     return meta
 
 
-RUNNERS: dict[str, Callable] = {
-    "synth": cmd_synth,
-    "run-edge": cmd_run_edge,
-    "run-federated": cmd_run_federated,
-    "utility-sweep": cmd_utility_sweep,
-    "depth-probe": cmd_depth_probe,
+class Command(NamedTuple):
+    run: Callable
+    help: str
+    params: tuple[str, ...]
+    defaults: dict = {}  # where they differ from PARAMS; never mutated
+
+
+COMMANDS = {
+    "synth": Command(cmd_synth, "write a synthetic matrix as CSV",
+                     ("seed", "d", "n", "alpha", "generator")),
+    "run-edge": Command(cmd_run_edge, "stream one client over a matrix", ("seed", *_DATA, *_EDGE)),
+    "run-federated": Command(
+        cmd_run_federated, "stream M clients and aggregate",
+        ("seed", *_DATA, *_EDGE, "leaves", "fanout", "schedule", "schedule_seed", "policy",
+         "threads"),
+    ),
+    "utility-sweep": Command(
+        cmd_utility_sweep, "leading-direction overlap vs epsilon",
+        ("seed", "d", "n", "alphas", "epsilons", "reps", "rank", "cov_block", "delta", "no_dp"),
+        {"d": 20, "n": 5000},
+    ),
+    "depth-probe": Command(cmd_depth_probe, "tree-depth error against its bound",
+                           ("seed", *_DATA, "fanout", "depths", "rank"),
+                           {"d": 32, "n": 256, "rank": 8}),
 }
 
 
@@ -506,8 +486,18 @@ def _execute(command: str, params: dict, out_dir: Path) -> None:
     log = MetricLog(run_id)
     timing = MetricLog(run_id)
     started = time.perf_counter()
-    meta = RUNNERS[command](params, out_dir, log, timing)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)
+        meta = COMMANDS[command].run(params, out_dir, log, timing)
     timing.add("runtime_s", time.perf_counter() - started)
+    # checks the library owns arrive as UserWarnings, one per client that
+    # trips them; each distinct message is reported once
+    meta.extend(dict.fromkeys(
+        f"warning: {w.message}" for w in caught if issubclass(w.category, UserWarning)
+    ))
+    for w in caught:  # any other category is shown as Python would have shown it
+        if not issubclass(w.category, UserWarning):
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno)
     if log.rows():
         log.write_csv(out_dir / "metrics.csv")
     timing.write_csv(out_dir / "timings.csv")
@@ -520,45 +510,6 @@ def _execute(command: str, params: dict, out_dir: Path) -> None:
 
 # ---------------------------------------------------------------------------
 # argument parsing
-
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--seed", type=int, default=None, help="root seed (default 0)")
-    sp.add_argument("--out", required=True, help="output directory")
-    sp.add_argument("--config", default=None, help="key=value config file")
-
-
-def _add_data_opts(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--data", default=None, help="CSV matrix to load instead of synthesizing")
-    sp.add_argument("--orientation", choices=("columns", "rows"), default=None)
-    sp.add_argument("--normalize", choices=("none", "unit-ball"), default=None)
-    sp.add_argument("--d", type=int, default=None, help="rows of the synthetic matrix")
-    sp.add_argument("--n", type=int, default=None, help="columns of the synthetic matrix")
-    sp.add_argument("--alpha", type=float, default=None, help="spectrum decay exponent")
-    sp.add_argument("--generator", choices=("svd", "gauss"), default=None)
-
-
-def _add_edge_opts(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--rank", type=int, default=None, help="target rank (default 10)")
-    sp.add_argument("--batch", type=int, default=None, help="batch width (default 50)")
-    sp.add_argument("--lambda", dest="forgetting", type=float, default=None,
-                    help="forgetting factor in (0, 1] (default 1)")
-    sp.add_argument("--adaptive", action="store_const", const=True, default=None,
-                    help="enable energy-based rank adaptation")
-    sp.add_argument("--energy-alpha", dest="energy_alpha", type=float, default=None)
-    sp.add_argument("--energy-beta", dest="energy_beta", type=float, default=None)
-    sp.add_argument("--max-rank", dest="max_rank", type=int, default=None)
-    sp.add_argument("--cov-block", dest="cov_block", type=int, default=None,
-                    help="covariance slab width (default min(d, 64))")
-    sp.add_argument("--epsilon", type=float, default=None)
-    sp.add_argument("--delta", type=float, default=None)
-    sp.add_argument("--no-dp", dest="no_dp", action="store_const", const=True,
-                    default=None, help="disable the privacy mask")
-    sp.add_argument("--omega-floor", dest="omega_floor", type=float, default=None,
-                    help="reject batches whose noise scale would exceed this")
-    sp.add_argument("--rescale-private", dest="rescale_private", action="store_const",
-                    const=True, default=None,
-                    help="rescale private values to the data scale")
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -577,49 +528,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"fedpca {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("synth", help="write a synthetic matrix as CSV")
-    _add_common(sp)
-    sp.add_argument("--d", type=int, default=None)
-    sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--alpha", type=float, default=None)
-    sp.add_argument("--generator", choices=("svd", "gauss"), default=None)
-
-    sp = sub.add_parser("run-edge", help="stream one client over a matrix")
-    _add_common(sp)
-    _add_data_opts(sp)
-    _add_edge_opts(sp)
-
-    sp = sub.add_parser("run-federated", help="stream M clients and aggregate")
-    _add_common(sp)
-    _add_data_opts(sp)
-    _add_edge_opts(sp)
-    sp.add_argument("--leaves", type=int, default=None, help="number of clients")
-    sp.add_argument("--fanout", type=int, default=None, help="aggregation arity")
-    sp.add_argument("--schedule", choices=SCHEDULES, default=None)
-    sp.add_argument("--schedule-seed", dest="schedule_seed", type=int, default=None)
-    sp.add_argument("--policy", choices=("contiguous", "round_robin", "seeded_shuffle"),
-                    default=None, help="column partition policy")
-    sp.add_argument("--threads", type=int, default=None,
-                    help="leaf thread pool size (default: cpu count)")
-
-    sp = sub.add_parser("utility-sweep", help="leading-direction overlap vs epsilon")
-    _add_common(sp)
-    sp.add_argument("--d", type=int, default=None)
-    sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--alphas", default=None, help="comma-separated decay exponents")
-    sp.add_argument("--epsilons", default=None, help="comma-separated epsilon grid")
-    sp.add_argument("--reps", type=int, default=None)
-    sp.add_argument("--rank", type=int, default=None)
-    sp.add_argument("--cov-block", dest="cov_block", type=int, default=None)
-    sp.add_argument("--delta", type=float, default=None)
-    sp.add_argument("--no-dp", dest="no_dp", action="store_const", const=True, default=None)
-
-    sp = sub.add_parser("depth-probe", help="tree-depth error against its bound")
-    _add_common(sp)
-    _add_data_opts(sp)
-    sp.add_argument("--fanout", type=int, default=None)
-    sp.add_argument("--depths", default=None, help="comma-separated tree depths")
-    sp.add_argument("--rank", type=int, default=None)
+    # every flag defaults to None so that resolve_params can tell it was not given
+    for command, spec in COMMANDS.items():
+        sp = sub.add_parser(command, help=spec.help)
+        sp.add_argument("--out", required=True, help="output directory")
+        sp.add_argument("--config", default=None, help="key=value config file")
+        for name in spec.params:
+            row = PARAMS[name]
+            flag = row.flag or "--" + name.replace("_", "-")
+            default = _default(command, name)
+            shown = row.help
+            if default is not None and default is not False:
+                shown += f" (default {_stringify(default)})"
+            kind = (dict(action="store_const", const=True) if row.cast is _cast_bool
+                    else dict(type=row.cast, choices=row.choices))
+            sp.add_argument(flag, dest=name, default=None, help=shown, **kind)
 
     sp = sub.add_parser("replay", help="re-run a command from its manifest")
     sp.add_argument("manifest", help="manifest.txt of a previous run")
@@ -633,24 +556,18 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "replay":
-            stored = load_key_values(args.manifest)
-            command = stored.pop("command", None)
-            if command not in RUNNERS:
+            config = load_key_values(args.manifest)
+            command, flags = config.get("command"), argparse.Namespace()
+            if command not in COMMANDS:
                 raise ConfigError(f"manifest has no known command ({command!r})")
-            params = resolve_params(command, argparse.Namespace(), stored)
-            _execute(command, params, Path(args.out))
         else:
+            command, flags = args.command, args
             config = load_key_values(args.config) if args.config else {}
-            config.pop("command", None)
-            params = resolve_params(args.command, args, config)
-            _execute(args.command, params, Path(args.out))
+        _execute(command, resolve_params(command, flags, config), Path(args.out))
     except PrivacyInfeasibleError as exc:
         print(f"fedpca: {exc}", file=sys.stderr)
         return 4
-    except DataError as exc:
-        print(f"fedpca: {exc}", file=sys.stderr)
-        return 3
-    except FileNotFoundError as exc:
+    except (DataError, OSError) as exc:
         print(f"fedpca: {exc}", file=sys.stderr)
         return 3
     except (ConfigError, CalibrationError, ValueError) as exc:

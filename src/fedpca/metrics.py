@@ -28,7 +28,6 @@ REGISTERED_METRICS = frozenset(
         "log_reconstruction_error",
         "energy_ratio",
         "global_value",
-        "singular_value",
         "noise_omega",
         "batch_width",
         "qa_signed",
@@ -37,7 +36,6 @@ REGISTERED_METRICS = frozenset(
         "error_bound",
         "within_bound",
         "runtime_s",
-        "unit_ball_scale",
     }
 )
 

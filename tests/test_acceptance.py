@@ -253,6 +253,9 @@ def test_criterion_9_manifest_replay_determinism(tmp_path):
         ["run-edge", "--d", "8", "--n", "80", "--rank", "3", "--batch", "40",
          "--epsilon", "1.0", "--delta", "0.1", "--seed", "2",
          "--normalize", "unit-ball"],
+        ["run-edge", "--d", "10", "--n", "120", "--rank", "4", "--batch", "20",
+         "--lambda", "0.9", "--adaptive", "--cov-block", "4", "--epsilon", "2.0",
+         "--delta", "0.05", "--seed", "7", "--normalize", "unit-ball"],
         ["run-federated", "--d", "12", "--n", "150", "--leaves", "4",
          "--rank", "5", "--batch", "25", "--epsilon", "0.5", "--delta", "0.1",
          "--seed", "9", "--policy", "seeded_shuffle"],

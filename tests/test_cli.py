@@ -1,11 +1,13 @@
+import argparse
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
 
 from fedpca import _blas
-from fedpca.cli import EPSILON_FLOOR, main
+from fedpca.cli import EPSILON_FLOOR, build_parser, main, resolve_params
 from fedpca.datasets import SynthSpec, load_csv, normalize_unit_ball, synth, synth_gaussian_cov
 from fedpca.federation import depth_error_probe
 from fedpca.linalg import singular_values
@@ -111,6 +113,24 @@ class TestRunEdge:
         assert "warning" not in capsys.readouterr().err
         assert "warning" not in (out / "manifest.txt").read_text()
 
+    @pytest.mark.parametrize("argv, text", [
+        (["run-edge", "--rank", "6", "--batch", "4"], "batch width 4 is below the target rank 6"),
+        # four clients raise the same warning; it is reported once
+        (["run-federated", "--leaves", "4", "--rank", "6", "--batch", "4"],
+         "batch width 4 is below the target rank 6"),
+        (["run-edge", "--adaptive", "--energy-alpha", "0.05", "--energy-beta", "0.1"],
+         "energy band is narrow"),
+    ])
+    def test_library_warning_reported_once(self, tmp_path, capsys, recwarn, argv, text):
+        out = tmp_path / "w"
+        run_ok(argv + ["--d", "8", "--n", "80", "--no-dp", "--out", str(out)])
+        assert not [w for w in recwarn if issubclass(w.category, UserWarning)]
+        err = [ln for ln in capsys.readouterr().err.splitlines() if "warning" in ln.lower()]
+        assert len(err) == 1 and err[0].startswith("fedpca warning: ") and text in err[0]
+        manifest = [ln for ln in (out / "manifest.txt").read_text().splitlines()
+                    if "warning" in ln.lower()]
+        assert len(manifest) == 1 and manifest[0] == "# " + err[0][len("fedpca "):]
+
     def test_missing_data_file_exit_3(self, tmp_path):
         assert main(["run-edge", "--data", str(tmp_path / "nope.csv"),
                      "--no-dp", "--out", str(tmp_path / "o")]) == 3
@@ -120,6 +140,27 @@ class TestRunEdge:
         bad.write_text("1,2,3\n4,5\n")
         assert main(["run-edge", "--data", str(bad), "--no-dp",
                      "--out", str(tmp_path / "o")]) == 3
+
+    def test_data_directory_exit_3(self, tmp_path, capsys):
+        assert main(["run-edge", "--data", str(tmp_path), "--no-dp",
+                     "--out", str(tmp_path / "o")]) == 3
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_out_is_existing_file_exit_3(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("x\n")
+        assert main(["run-edge", "--d", "8", "--n", "40", "--no-dp",
+                     "--out", str(taken)]) == 3
+        assert "Traceback" not in capsys.readouterr().err
+        assert taken.read_text() == "x\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["run-edge", "--d", "6", "--n", "40", "--rank", "2", "--no-dp"],
+        ["utility-sweep", "--d", "6", "--n", "40", "--rank", "2", "--reps", "1", "--no-dp"],
+    ])
+    def test_cov_block_zero_exit_2(self, tmp_path, argv):
+        # zero once fell through to the min(d, 64) default; the client rejects it now
+        assert main(argv + ["--cov-block", "0", "--out", str(tmp_path / "o")]) == 2
 
     def test_privacy_infeasible_exit_4(self, tmp_path, capsys):
         code = main(["run-edge", "--d", "20", "--n", "100", "--rank", "4",
@@ -216,6 +257,29 @@ class TestConfigFile:
         assert main(["run-edge", "--d", "4", "--n", "8", "--no-dp",
                      "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("line, argv", [
+        # with privacy on, this typo once switched normalization off silently
+        ("normalize=unit_ball", ["run-edge", "--epsilon", "1"]),
+        ("orientation=diag", ["run-edge", "--no-dp"]),
+        ("generator=gaussian", ["synth"]),
+        ("schedule=round_robin", ["run-federated", "--no-dp"]),
+        ("policy=shuffled", ["run-federated", "--no-dp"]),
+    ])
+    def test_config_value_outside_choices_exit_2(self, tmp_path, line, argv):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "o"
+        assert main(argv + ["--d", "8", "--n", "40", "--config", str(cfg),
+                            "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_manifest_value_outside_choices_exit_2(self, tmp_path):
+        stored = tmp_path / "manifest.txt"
+        stored.write_text("command=run-edge\nd=8\nn=40\nnormalize=unit_ball\n")
+        out = tmp_path / "o"
+        assert main(["replay", str(stored), "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_malformed_config_line_exit_2(self, tmp_path):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("rank 3\n")
@@ -282,3 +346,94 @@ class TestDepthProbe:
         assert main(["depth-probe", "--d", "8", "--n", "100", "--depths", "3",
                      "--fanout", "2", "--seed", "0",
                      "--out", str(tmp_path / "o")]) == 2
+
+
+# The CLI surface as the two-declaration parser had it: one table now builds
+# the parser and the defaults, and these literals catch a drift in either.
+_COMMON = {("--out",): ("out", None, True), ("--config",): ("config", None, False),
+           ("--seed",): ("seed", None, False)}
+_SYNTH_DATA = {("--d",): ("d", None, False), ("--n",): ("n", None, False),
+               ("--alpha",): ("alpha", None, False),
+               ("--generator",): ("generator", ("svd", "gauss"), False)}
+_DATA = {**_SYNTH_DATA, ("--data",): ("data", None, False),
+         ("--orientation",): ("orientation", ("columns", "rows"), False),
+         ("--normalize",): ("normalize", ("none", "unit-ball"), False)}
+_EDGE = {("--rank",): ("rank", None, False), ("--batch",): ("batch", None, False),
+         ("--lambda",): ("forgetting", None, False),
+         ("--adaptive",): ("adaptive", None, False),
+         ("--energy-alpha",): ("energy_alpha", None, False),
+         ("--energy-beta",): ("energy_beta", None, False),
+         ("--max-rank",): ("max_rank", None, False),
+         ("--cov-block",): ("cov_block", None, False),
+         ("--epsilon",): ("epsilon", None, False), ("--delta",): ("delta", None, False),
+         ("--no-dp",): ("no_dp", None, False),
+         ("--omega-floor",): ("omega_floor", None, False),
+         ("--rescale-private",): ("rescale_private", None, False)}
+_FED = {("--leaves",): ("leaves", None, False), ("--fanout",): ("fanout", None, False),
+        ("--schedule",): ("schedule", ("synchronous_rounds", "random_interleave",
+                                       "adversarial_permutation"), False),
+        ("--schedule-seed",): ("schedule_seed", None, False),
+        ("--policy",): ("policy", ("contiguous", "round_robin", "seeded_shuffle"), False),
+        ("--threads",): ("threads", None, False)}
+_SWEEP = {("--d",): ("d", None, False), ("--n",): ("n", None, False),
+          ("--alphas",): ("alphas", None, False), ("--epsilons",): ("epsilons", None, False),
+          ("--reps",): ("reps", None, False), ("--rank",): ("rank", None, False),
+          ("--cov-block",): ("cov_block", None, False), ("--delta",): ("delta", None, False),
+          ("--no-dp",): ("no_dp", None, False)}
+_PROBE = {("--fanout",): ("fanout", None, False), ("--depths",): ("depths", None, False),
+          ("--rank",): ("rank", None, False)}
+
+OPTIONS = {
+    "synth": {**_COMMON, **_SYNTH_DATA},
+    "run-edge": {**_COMMON, **_DATA, **_EDGE},
+    "run-federated": {**_COMMON, **_DATA, **_EDGE, **_FED},
+    "utility-sweep": {**_COMMON, **_SWEEP},
+    "depth-probe": {**_COMMON, **_DATA, **_PROBE},
+    "replay": {(): ("manifest", None, True), ("--out",): ("out", None, True)},
+}
+VALUELESS = {"--adaptive", "--no-dp", "--rescale-private"}
+
+_DATA_DEFAULTS = {"data": None, "orientation": "columns", "normalize": "none", "d": None,
+                  "n": None, "alpha": 1.0, "generator": "svd"}
+_EDGE_DEFAULTS = {"rank": 10, "batch": 50, "forgetting": 1.0, "adaptive": False,
+                  "energy_alpha": 0.01, "energy_beta": 0.1, "max_rank": None,
+                  "cov_block": None, "epsilon": 0.1, "delta": 0.1, "no_dp": False,
+                  "omega_floor": None, "rescale_private": False}
+DEFAULTS = {
+    "synth": {"seed": 0, "d": None, "n": None, "alpha": 1.0, "generator": "svd"},
+    "run-edge": {"seed": 0, **_DATA_DEFAULTS, **_EDGE_DEFAULTS},
+    "run-federated": {"seed": 0, **_DATA_DEFAULTS, **_EDGE_DEFAULTS, "leaves": 4,
+                      "fanout": 2, "schedule": "synchronous_rounds", "schedule_seed": 0,
+                      "policy": "contiguous", "threads": os.cpu_count() or 1},
+    "utility-sweep": {"seed": 0, "d": 20, "n": 5000, "alphas": "0.01,1.0",
+                      "epsilons": "0.1,0.5,1.0,2.0,4.0", "reps": 20, "rank": 10,
+                      "cov_block": None, "delta": 0.1, "no_dp": False},
+    "depth-probe": {"seed": 0, **_DATA_DEFAULTS, "d": 32, "n": 256, "fanout": 2,
+                    "depths": "1,2,3", "rank": 8},
+}
+
+
+class TestSurface:
+    @staticmethod
+    def _subparsers():
+        parser = build_parser()
+        action = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction))
+        return action.choices
+
+    @pytest.mark.parametrize("command", sorted(OPTIONS))
+    def test_option_set(self, command):
+        actions = [a for a in self._subparsers()[command]._actions
+                   if not isinstance(a, argparse._HelpAction)]
+        got = {tuple(a.option_strings): (a.dest, tuple(a.choices) if a.choices else None,
+                                         a.required) for a in actions}
+        assert got == OPTIONS[command]
+        assert all(a.default is None for a in actions)
+        valueless = {s for a in actions if a.nargs == 0 for s in a.option_strings}
+        assert valueless == VALUELESS & {s for opts in got for s in opts}
+
+    @pytest.mark.parametrize("command", sorted(DEFAULTS))
+    def test_resolved_defaults(self, command):
+        got = resolve_params(command, argparse.Namespace(), {})
+        assert got == DEFAULTS[command]
+        assert [type(v) for v in got.values()] == [type(DEFAULTS[command][k]) for k in got]
