@@ -39,13 +39,7 @@ from .datasets import (
     synth_gaussian_cov,
 )
 from .edge import EdgeClient, EnergyBounds, energy_ratio
-from .federation import (
-    SCHEDULES,
-    FederationConfig,
-    build_tree,
-    depth_error_probe,
-    run_federation,
-)
+from .federation import FederationConfig, build_tree, depth_error_probe, run_federation
 from .linalg import truncated_svd
 from .metrics import MetricLog, projection_error, qa_overlap
 from .privacy import (
@@ -128,12 +122,9 @@ PARAMS = {row.name: row for row in (
     Param("rescale_private", _cast_bool, False, "rescale private values to the data scale"),
     Param("leaves", int, 4, "number of clients"),
     Param("fanout", int, 2, "aggregation arity"),
-    Param("schedule", default="synchronous_rounds", help="observation schedule",
-          choices=SCHEDULES),
-    Param("schedule_seed", int, 0, "seed of the random schedules"),
     Param("policy", default="contiguous", help="column partition policy",
           choices=("contiguous", "round_robin", "seeded_shuffle")),
-    Param("threads", int, os.cpu_count() or 1, "leaf thread pool size, one per cpu"),
+    Param("threads", int, help="leaf thread pool size (default one per cpu)"),
     Param("alphas", default="0.01,1.0", help="comma-separated decay exponents"),
     Param("epsilons", default="0.1,0.5,1.0,2.0,4.0", help="comma-separated epsilon grid"),
     Param("reps", int, 20, "repetitions per decay exponent"),
@@ -144,6 +135,11 @@ _DATA = ("data", "orientation", "normalize", "d", "n", "alpha", "generator")
 _EDGE = ("rank", "batch", "forgetting", "adaptive", "energy_alpha", "energy_beta",
          "max_rank", "cov_block", "epsilon", "delta", "no_dp", "omega_floor",
          "rescale_private")
+
+# Keys that older manifests of a command carry but nothing reads any more. A
+# config file or manifest may hold them; they are written back verbatim, so a
+# replay keeps its run_id.
+RETIRED = {"run-federated": ("schedule", "schedule_seed")}
 
 
 def _stringify(value) -> str:
@@ -181,10 +177,11 @@ def _default(command: str, name: str):
 def resolve_params(command: str, flags, config: dict[str, str]) -> dict:
     """Flags beat config values beat defaults; unknown keys and bad choices fail."""
     names = COMMANDS[command].params
-    unknown = set(config) - set(names) - {"command"}
+    retired = RETIRED.get(command, ())
+    unknown = set(config) - set(names) - set(retired) - {"command"}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    params = {}
+    params = {key: config[key] for key in retired if key in config}
     for name in names:
         row = PARAMS[name]
         value = getattr(flags, name, None)
@@ -335,11 +332,10 @@ def cmd_run_federated(params: dict, out_dir: Path, log: MetricLog, timing: Metri
         dp=dp,
         cov_block_width=params["cov_block"],
         forgetting=params["forgetting"],
-        schedule=params["schedule"],
-        schedule_seed=params["schedule_seed"],
         seed=params["seed"],
     )
-    result = run_federation(streams, tree, cfg, params["threads"])
+    threads = (os.cpu_count() or 1) if params["threads"] is None else params["threads"]
+    result = run_federation(streams, tree, cfg, threads)
     for i, value in enumerate(result.estimate.values):
         log.add("global_value", value, t=i)
     log.add("merge_count", result.merge_count)
@@ -466,8 +462,7 @@ COMMANDS = {
     "run-edge": Command(cmd_run_edge, "stream one client over a matrix", ("seed", *_DATA, *_EDGE)),
     "run-federated": Command(
         cmd_run_federated, "stream M clients and aggregate",
-        ("seed", *_DATA, *_EDGE, "leaves", "fanout", "schedule", "schedule_seed", "policy",
-         "threads"),
+        ("seed", *_DATA, *_EDGE, "leaves", "fanout", "policy", "threads"),
     ),
     "utility-sweep": Command(
         cmd_utility_sweep, "leading-direction overlap vs epsilon",
@@ -481,6 +476,7 @@ COMMANDS = {
 
 
 def _execute(command: str, params: dict, out_dir: Path) -> None:
+    created = not out_dir.exists()
     out_dir.mkdir(parents=True, exist_ok=True)
     run_id = _run_identifier(command, params)
     log = MetricLog(run_id)
@@ -488,7 +484,13 @@ def _execute(command: str, params: dict, out_dir: Path) -> None:
     started = time.perf_counter()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", UserWarning)
-        meta = COMMANDS[command].run(params, out_dir, log, timing)
+        try:
+            meta = COMMANDS[command].run(params, out_dir, log, timing)
+        except BaseException:
+            # a failed run leaves no empty --out behind; files it wrote stay
+            if created and not any(out_dir.iterdir()):
+                out_dir.rmdir()
+            raise
     timing.add("runtime_s", time.perf_counter() - started)
     # checks the library owns arrive as UserWarnings, one per client that
     # trips them; each distinct message is reported once

@@ -3,17 +3,16 @@
 Clients sit at the leaves of an l-ary tree and stream their columns
 independently; aggregators merge child summaries pairwise, left to right,
 level by level. Because clients never interact before aggregation, the
-global result is invariant to how their observations interleave, which the
-schedule machinery here makes directly testable.
+global result is invariant to how their observations interleave; the tests
+check this by replaying seeded interleavings against run_federation.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -22,8 +21,6 @@ from .edge import EdgeClient, EnergyBounds
 from .linalg import SubspaceEstimate, ensure_matrix, merge, subspace_of
 from .metrics import procrustes_align_error, residual_rho
 from .privacy import DpConfig, derive_rng
-
-SCHEDULES = ("synchronous_rounds", "random_interleave", "adversarial_permutation")
 
 
 @dataclass(frozen=True)
@@ -74,20 +71,16 @@ def build_tree(leaf_count: int, fanout: int) -> FederationTree:
             next_id += 1
         levels.append(tuple(parents))
         current = parents
-    tree = FederationTree(
+    return FederationTree(
         leaf_count, fanout, len(levels) - 1, tuple(nodes), tuple(map(tuple, levels))
     )
-    expected_depth = math.ceil(math.log(leaf_count, fanout)) if leaf_count > 1 else 0
-    assert tree.depth == expected_depth or leaf_count == 1
-    return tree
 
 
 @dataclass(frozen=True)
 class FederationConfig:
-    """Shared client settings plus the observation schedule.
+    """Settings shared by every client of a federation.
 
-    seed feeds per-client noise generators (required when dp is set);
-    schedule_seed drives the seeded interleavings.
+    seed feeds per-client noise generators (required when dp is set).
     """
 
     rank: int
@@ -96,15 +89,9 @@ class FederationConfig:
     dp: Optional[DpConfig] = None
     cov_block_width: Optional[int] = None
     forgetting: float = 1.0
-    schedule: str = "synchronous_rounds"
-    schedule_seed: int = 0
     seed: Optional[int] = None
 
     def __post_init__(self):
-        if self.schedule not in SCHEDULES:
-            raise ValueError(
-                f"unknown schedule {self.schedule!r}; expected one of {SCHEDULES}"
-            )
         if self.dp is not None and self.seed is None:
             raise ValueError("dp federation needs a seed for the noise streams")
 
@@ -134,30 +121,20 @@ def aggregate_once(children: Sequence[SubspaceEstimate], r: int) -> SubspaceEsti
     return acc.truncated(r)
 
 
-def _interleaving(lengths: Sequence[int], schedule: str, seed: int) -> Iterator[int]:
-    """Client visit order; entry i means 'next unseen column of client i'.
-
-    Yielded lazily, so no list of every column's client is held during a
-    run.
-    """
-    if schedule == "synchronous_rounds":
-        for t in range(max(lengths, default=0)):
-            for i, n in enumerate(lengths):
-                if t < n:
-                    yield i
-        return
-    rng = np.random.default_rng(seed)
-    if schedule == "random_interleave":
-        tokens = np.repeat(np.arange(len(lengths)), lengths)
-        rng.shuffle(tokens)
-        for i in tokens:
-            yield int(i)
-        return
-    if schedule == "adversarial_permutation":
-        for i in rng.permutation(len(lengths)):
-            yield from itertools.repeat(int(i), lengths[int(i)])
-        return
-    raise ValueError(f"unknown schedule {schedule!r}")
+def _aggregate_tree(
+    leaves: Sequence[SubspaceEstimate], tree: FederationTree, r: int
+) -> GlobalEstimate:
+    """Merge the leaf estimates up ``tree`` level by level, truncating to rank r."""
+    estimates = dict(enumerate(leaves))
+    per_level = [tuple(e.rank for e in leaves)]
+    merges = 0
+    for level in tree.levels[1:]:
+        for node_id in level:
+            kids = [estimates[c] for c in tree.nodes[node_id].children]
+            estimates[node_id] = aggregate_once(kids, r)
+            merges += len(kids) - 1
+        per_level.append(tuple(estimates[i].rank for i in level))
+    return GlobalEstimate(estimates[tree.root], merges, tuple(per_level))
 
 
 def run_federation(
@@ -169,15 +146,14 @@ def run_federation(
     """Stream every client's columns, then aggregate up the tree.
 
     Each leaf i consumes streams[i] (d x n_i, n_i may be zero) in column
-    order; the schedule only decides how observations interleave across
-    clients, never the order within one client, so it cannot change the
-    result. With max_workers > 1 the independent leaves run on a thread
-    pool, which is result-identical to the serial path.
+    order. The serial path feeds one column to each client in turn, round
+    after round; how observations interleave across clients cannot change
+    the result, since each client sees its own columns in the same order.
+    With max_workers > 1 the independent leaves run on a thread pool, which
+    is result-identical to the serial path.
     """
     if len(streams) != tree.leaf_count:
-        raise ValueError(
-            f"got {len(streams)} streams for {tree.leaf_count} leaves"
-        )
+        raise ValueError(f"got {len(streams)} streams for {tree.leaf_count} leaves")
     mats = []
     dim = None
     for i, s in enumerate(streams):
@@ -209,36 +185,19 @@ def run_federation(
     clients = [make_client(i) for i in range(tree.leaf_count)]
 
     if max_workers is not None and max_workers > 1:
-        def feed(i: int) -> None:
-            m = mats[i]
+        def feed(client: EdgeClient, m: np.ndarray) -> None:
             for t in range(m.shape[1]):
-                clients[i].observe(m[:, t])
+                client.observe(m[:, t])
 
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            list(pool.map(feed, range(tree.leaf_count)))
+            list(pool.map(feed, clients, mats))
     else:
-        lengths = [m.shape[1] for m in mats]
-        cursor = [0] * tree.leaf_count
-        for i in _interleaving(lengths, cfg.schedule, cfg.schedule_seed):
-            clients[i].observe(mats[i][:, cursor[i]])
-            cursor[i] += 1
+        for t in range(max(m.shape[1] for m in mats)):
+            for client, m in zip(clients, mats):
+                if t < m.shape[1]:
+                    client.observe(m[:, t])
 
-    estimates: dict[int, SubspaceEstimate] = {
-        i: clients[i].finalize() for i in range(tree.leaf_count)
-    }
-    per_level = [tuple(estimates[i].rank for i in tree.levels[0])]
-    merges = 0
-    for level in tree.levels[1:]:
-        ranks = []
-        for node_id in level:
-            node = tree.nodes[node_id]
-            kids = [estimates[c] for c in node.children]
-            estimates[node_id] = aggregate_once(kids, cfg.rank)
-            merges += len(kids) - 1
-            ranks.append(estimates[node_id].rank)
-        per_level.append(tuple(ranks))
-
-    return GlobalEstimate(estimates[tree.root], merges, tuple(per_level))
+    return _aggregate_tree([c.finalize() for c in clients], tree, cfg.rank)
 
 
 def depth_error_probe(
@@ -265,19 +224,12 @@ def depth_error_probe(
         raise ValueError(f"rank {r} outside [1, {d}]")
     leaves = fanout**depth
     if n % leaves != 0:
-        raise ValueError(
-            f"leaf count {leaves} must divide the column count {n}"
-        )
+        raise ValueError(f"leaf count {leaves} must divide the column count {n}")
     width = n // leaves
-    level = [
+    summaries = [
         subspace_of(m[:, i * width : (i + 1) * width], r) for i in range(leaves)
     ]
-    while len(level) > 1:
-        level = [
-            aggregate_once(level[s : s + fanout], r)
-            for s in range(0, len(level), fanout)
-        ]
-    root = level[0]
+    root = _aggregate_tree(summaries, build_tree(leaves, fanout), r).estimate
 
     padded = np.zeros((d, n))
     if root.rank:

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import ensure_matrix, singular_values
+from .linalg import _check_orthonormal, ensure_matrix, singular_values
 
 REGISTERED_METRICS = frozenset(
     {
@@ -59,15 +59,20 @@ def projection_error(y, basis) -> float:
 
     (||Y||_F^2 - ||U^T Y||_F^2) / n for a column-orthonormal U; the d x d
     projector is never formed. The sums of squares are reduced without a
-    d x n float temporary; the r x n projection and the one-byte finiteness
-    mask of ensure_matrix are the only temporaries that grow with n.
+    d x n temporary; the r x n projection is the only temporary that grows
+    with n. Any non-finite entry makes ||Y||_F^2 non-finite, so that one
+    check stands in for a scan of every entry.
     """
-    m = ensure_matrix(y)
+    m = np.asarray(y, dtype=np.float64)
+    if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
+        raise ValueError(f"data must be 2-D with at least one row and column, got {m.shape}")
     u = np.asarray(basis, dtype=np.float64)
     if u.ndim != 2 or u.shape[0] != m.shape[0]:
         raise ValueError("basis rows must match the data dimension")
-    _require_orthonormal(u)
+    _check_orthonormal(u, max(u.shape[0], 1), "basis")
     total = float(np.einsum("ij,ij->", m, m))
+    if not math.isfinite(total):
+        raise ValueError("data contains non-finite entries or its squares overflow")
     if u.shape[1]:
         proj = u.T @ m
         total -= float(np.einsum("ij,ij->", proj, proj))
@@ -97,8 +102,8 @@ def subspace_distance(basis_a, basis_b) -> float:
     b = np.asarray(basis_b, dtype=np.float64)
     if a.ndim != 2 or b.ndim != 2 or a.shape[0] != b.shape[0]:
         raise ValueError("bases must share the ambient dimension")
-    _require_orthonormal(a)
-    _require_orthonormal(b)
+    _check_orthonormal(a, max(a.shape[0], 1), "basis")
+    _check_orthonormal(b, max(b.shape[0], 1), "basis")
     cross = a.T @ b
     inner = a.shape[1] + b.shape[1] - 2.0 * float(np.sum(cross * cross))
     return float(np.sqrt(max(inner, 0.0)))
@@ -119,15 +124,6 @@ def procrustes_align_error(a, b) -> float:
     nuclear = float(np.sum(np.linalg.svd(cross, compute_uv=False)))
     sq = float(np.sum(ma * ma)) + float(np.sum(mb * mb)) - 2.0 * nuclear
     return float(np.sqrt(max(sq, 0.0)))
-
-
-def _require_orthonormal(u: np.ndarray) -> None:
-    r = u.shape[1]
-    if r == 0:
-        return
-    dev = float(np.max(np.abs(u.T @ u - np.eye(r))))
-    if dev > 1e-10 * max(u.shape[0], 1):
-        raise ValueError(f"basis is not column-orthonormal (deviation {dev:.3e})")
 
 
 @dataclass(frozen=True)

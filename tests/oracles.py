@@ -3,8 +3,10 @@
 Nothing here calls back into the package's kernels: the SVD oracle is a
 one-sided Jacobi iteration, the merge oracle takes numpy's SVD of the
 explicit concatenation the merge never forms, the noise-scale oracles run
-in 60-digit arithmetic, and the subspace-distance oracle forms the full
-projectors the library deliberately avoids.
+in 60-digit arithmetic, the subspace-distance oracle forms the full
+projectors the library deliberately avoids, and the interleavings give
+observation orders across clients that a federation's result must not
+depend on.
 """
 
 from __future__ import annotations
@@ -200,8 +202,16 @@ def projection_error_squares(y, basis) -> float:
     return max(total, 0.0) / m.shape[1]
 
 
+SCHEDULES = ("synchronous_rounds", "random_interleave", "adversarial_permutation")
+
+
 def interleaving_list(lengths, schedule: str, seed: int) -> list:
-    """Client visit order of each schedule, built as one list up front."""
+    """Client visit order of each schedule, built as one list up front.
+
+    Entry k names the client whose next unseen column is observed k-th:
+    round after round one column per client, a seeded shuffle of every
+    column, or each client's whole stream in a seeded client order.
+    """
     if schedule == "synchronous_rounds":
         order = []
         for t in range(max(lengths, default=0)):

@@ -2,6 +2,7 @@ import argparse
 import csv
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +17,15 @@ from fedpca.linalg import singular_values
 def run_ok(argv):
     code = main(argv)
     assert code == 0, f"command failed: {argv}"
+
+
+FIXTURES = Path(__file__).parent / "data" / "schedule-manifests"
+
+
+def manifest_lines(path):
+    """Manifest lines apart from the creation time and the host's BLAS library."""
+    return [ln for ln in Path(path).read_text().splitlines()
+            if not ln.startswith(("# created", "# blas "))]
 
 
 def read_metrics(out_dir, metric=None):
@@ -160,7 +170,9 @@ class TestRunEdge:
     ])
     def test_cov_block_zero_exit_2(self, tmp_path, argv):
         # zero once fell through to the min(d, 64) default; the client rejects it now
-        assert main(argv + ["--cov-block", "0", "--out", str(tmp_path / "o")]) == 2
+        out = tmp_path / "o"
+        assert main(argv + ["--cov-block", "0", "--out", str(out)]) == 2
+        assert not out.exists()  # a failed run removes the directory it made
 
     def test_privacy_infeasible_exit_4(self, tmp_path, capsys):
         code = main(["run-edge", "--d", "20", "--n", "100", "--rank", "4",
@@ -169,6 +181,14 @@ class TestRunEdge:
                      "--out", str(tmp_path / "o")])
         assert code == 4
         assert "privacy-infeasible" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_failed_run_keeps_an_existing_out(self, tmp_path):
+        out = tmp_path / "o"
+        out.mkdir()
+        assert main(["run-edge", "--d", "6", "--n", "40", "--no-dp", "--cov-block", "0",
+                     "--out", str(out)]) == 2
+        assert out.is_dir()
 
 
 class TestRunFederated:
@@ -185,15 +205,40 @@ class TestRunFederated:
         assert np.max(np.abs(np.array(fed_vals) - edge_vals)) < 1e-10
 
     def test_schedule_seed_cannot_change_values(self, tmp_path):
-        vals = {}
+        # manifests written while --schedule existed still carry the two keys
+        first = tmp_path / "first"
+        run_ok(["run-federated", "--d", "10", "--n", "120", "--leaves", "3",
+                "--rank", "4", "--batch", "10", "--no-dp", "--seed", "1",
+                "--out", str(first)])
+        vals, run_ids = {}, set()
         for seed in (5, 17):
+            stored = tmp_path / f"manifest{seed}.txt"
+            stored.write_text((first / "manifest.txt").read_text()
+                              + f"schedule=random_interleave\nschedule_seed={seed}\n")
             out = tmp_path / f"s{seed}"
-            run_ok(["run-federated", "--d", "10", "--n", "120", "--leaves", "3",
-                    "--rank", "4", "--batch", "10", "--no-dp", "--seed", "1",
-                    "--schedule", "random_interleave", "--schedule-seed", str(seed),
-                    "--out", str(out)])
+            run_ok(["replay", str(stored), "--out", str(out)])
+            assert f"schedule_seed={seed}" in manifest_lines(out / "manifest.txt")
             vals[seed] = [r["value"] for r in read_metrics(out, "global_value")]
+            run_ids |= {r["run_id"] for r in read_metrics(out)}
         assert vals[5] == vals[17]
+        assert len(run_ids) == 2  # still hashed into the run identifier
+
+    def test_other_commands_reject_retired_keys(self, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("schedule=random_interleave\n")
+        assert main(["run-edge", "--d", "6", "--n", "40", "--no-dp", "--config", str(cfg),
+                     "--out", str(tmp_path / "e")]) == 2
+
+    def test_default_threads_do_not_reach_the_output(self, tmp_path, monkeypatch):
+        metrics = []
+        for cpus in (1, 8):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            out = tmp_path / f"c{cpus}"
+            run_ok(["run-federated", "--d", "8", "--n", "80", "--leaves", "4", "--no-dp",
+                    "--out", str(out)])
+            assert "threads=" in manifest_lines(out / "manifest.txt")
+            metrics.append((out / "metrics.csv").read_bytes())
+        assert metrics[0] == metrics[1]
 
     def test_merge_count_row(self, tmp_path):
         out = tmp_path / "m"
@@ -234,6 +279,13 @@ class TestReplay:
         run_ok(["replay", str(first / "manifest.txt"), "--out", str(second)])
         assert (first / "matrix.csv").read_bytes() == (second / "matrix.csv").read_bytes()
 
+    @pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.iterdir()))
+    def test_schedule_era_manifest_reproduced(self, tmp_path, name):
+        out = tmp_path / name
+        run_ok(["replay", str(FIXTURES / name / "manifest.txt"), "--out", str(out)])
+        assert (out / "metrics.csv").read_bytes() == (FIXTURES / name / "metrics.csv").read_bytes()
+        assert manifest_lines(out / "manifest.txt") == manifest_lines(FIXTURES / name / "manifest.txt")
+
     def test_manifest_without_command_exit_2(self, tmp_path):
         stray = tmp_path / "manifest.txt"
         stray.write_text("d=4\nn=8\n")
@@ -262,7 +314,7 @@ class TestConfigFile:
         ("normalize=unit_ball", ["run-edge", "--epsilon", "1"]),
         ("orientation=diag", ["run-edge", "--no-dp"]),
         ("generator=gaussian", ["synth"]),
-        ("schedule=round_robin", ["run-federated", "--no-dp"]),
+        ("policy=round-robin", ["run-federated", "--no-dp"]),
         ("policy=shuffled", ["run-federated", "--no-dp"]),
     ])
     def test_config_value_outside_choices_exit_2(self, tmp_path, line, argv):
@@ -348,8 +400,8 @@ class TestDepthProbe:
                      "--out", str(tmp_path / "o")]) == 2
 
 
-# The CLI surface as the two-declaration parser had it: one table now builds
-# the parser and the defaults, and these literals catch a drift in either.
+# The CLI surface written out as literals: one table builds the parser and
+# the defaults, and these catch a drift in either.
 _COMMON = {("--out",): ("out", None, True), ("--config",): ("config", None, False),
            ("--seed",): ("seed", None, False)}
 _SYNTH_DATA = {("--d",): ("d", None, False), ("--n",): ("n", None, False),
@@ -370,9 +422,6 @@ _EDGE = {("--rank",): ("rank", None, False), ("--batch",): ("batch", None, False
          ("--omega-floor",): ("omega_floor", None, False),
          ("--rescale-private",): ("rescale_private", None, False)}
 _FED = {("--leaves",): ("leaves", None, False), ("--fanout",): ("fanout", None, False),
-        ("--schedule",): ("schedule", ("synchronous_rounds", "random_interleave",
-                                       "adversarial_permutation"), False),
-        ("--schedule-seed",): ("schedule_seed", None, False),
         ("--policy",): ("policy", ("contiguous", "round_robin", "seeded_shuffle"), False),
         ("--threads",): ("threads", None, False)}
 _SWEEP = {("--d",): ("d", None, False), ("--n",): ("n", None, False),
@@ -403,8 +452,7 @@ DEFAULTS = {
     "synth": {"seed": 0, "d": None, "n": None, "alpha": 1.0, "generator": "svd"},
     "run-edge": {"seed": 0, **_DATA_DEFAULTS, **_EDGE_DEFAULTS},
     "run-federated": {"seed": 0, **_DATA_DEFAULTS, **_EDGE_DEFAULTS, "leaves": 4,
-                      "fanout": 2, "schedule": "synchronous_rounds", "schedule_seed": 0,
-                      "policy": "contiguous", "threads": os.cpu_count() or 1},
+                      "fanout": 2, "policy": "contiguous", "threads": None},
     "utility-sweep": {"seed": 0, "d": 20, "n": 5000, "alphas": "0.01,1.0",
                       "epsilons": "0.1,0.5,1.0,2.0,4.0", "reps": 20, "rank": 10,
                       "cov_block": None, "delta": 0.1, "no_dp": False},

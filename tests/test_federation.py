@@ -4,17 +4,15 @@ import pytest
 from fedpca import _blas
 from fedpca.edge import EdgeClient
 from fedpca.federation import (
-    SCHEDULES,
     FederationConfig,
-    _interleaving,
     aggregate_once,
     build_tree,
     depth_error_probe,
     run_federation,
 )
 from fedpca.linalg import SubspaceEstimate, subspace_of
-from fedpca.privacy import DpConfig
-from oracles import interleaving_list, projector_distance
+from fedpca.privacy import DpConfig, derive_rng
+from oracles import SCHEDULES, interleaving_list, projector_distance
 
 
 def global_matrix(seed, d, n):
@@ -23,6 +21,43 @@ def global_matrix(seed, d, n):
 
 def split_columns(y, clients):
     return np.array_split(y, clients, axis=1)
+
+
+def interleaved_root(streams, fanout, cfg, schedule, seed):
+    """Root of clients fed one observe() at a time in the oracle's order.
+
+    The leaves are merged in runs of ``fanout``, level by level, without
+    going through the library's tree walk.
+    """
+    clients = [
+        EdgeClient(s.shape[0], cfg.rank, batch_size=cfg.batch_size, dp=cfg.dp,
+                   rng=derive_rng(cfg.seed, i) if cfg.dp is not None else None)
+        for i, s in enumerate(streams)
+    ]
+    cursor = [0] * len(streams)
+    for i in interleaving_list([s.shape[1] for s in streams], schedule, seed):
+        clients[i].observe(streams[i][:, cursor[i]])
+        cursor[i] += 1
+    assert cursor == [s.shape[1] for s in streams]
+    level = [c.finalize() for c in clients]
+    while len(level) > 1:
+        level = [aggregate_once(level[k : k + fanout], cfg.rank)
+                 for k in range(0, len(level), fanout)]
+    return level[0]
+
+
+def assert_every_order_gives_the_federation_root(y, cfg):
+    # uneven shares and one empty client, so the interleavings really differ
+    streams = [y[:, :37], np.zeros((y.shape[0], 0)), y[:, 37:61], y[:, 61:]]
+    tree = build_tree(len(streams), 3)
+    serial = run_federation(streams, tree, cfg).estimate
+    pooled = run_federation(streams, tree, cfg, max_workers=4).estimate
+    for schedule in SCHEDULES:
+        for seed in (0, 99):
+            root = interleaved_root(streams, 3, cfg, schedule, seed)
+            for est in (serial, pooled):
+                assert np.array_equal(est.values, root.values)
+                assert np.array_equal(est.basis, root.basis)
 
 
 class TestBuildTree:
@@ -52,6 +87,15 @@ class TestBuildTree:
         assert t.depth == 0
         assert t.root == 0
         assert t.levels == ((0,),)
+
+    @pytest.mark.parametrize("leaves, fanout, depth", [
+        (125, 5, 3), (216, 6, 3), (27, 3, 3), (1024, 2, 10)])
+    def test_exact_powers(self, leaves, fanout, depth):
+        # a floating-point log once put some of these one level off
+        t = build_tree(leaves, fanout)
+        assert t.depth == depth
+        assert tuple(len(lv) for lv in t.levels) == tuple(
+            leaves // fanout**k for k in range(depth + 1))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -113,27 +157,7 @@ class TestRunFederation:
 
     def test_schedules_cannot_change_the_result(self):
         y = global_matrix(3, 10, 90)
-        streams = split_columns(y, 3)
-        tree = build_tree(3, 3)
-        results = []
-        for schedule in SCHEDULES:
-            for sched_seed in (0, 99):
-                cfg = FederationConfig(
-                    rank=4, batch_size=10, schedule=schedule, schedule_seed=sched_seed
-                )
-                results.append(run_federation(streams, tree, cfg).estimate)
-        base = results[0]
-        for est in results[1:]:
-            assert np.array_equal(est.values, base.values)
-            assert np.array_equal(est.basis, base.basis)
-
-    @pytest.mark.parametrize("schedule", SCHEDULES)
-    def test_interleaving_matches_list_oracle(self, schedule):
-        for lengths in ([5, 0, 3, 7, 1], [0, 0], [], [4]):
-            for seed in (0, 31):
-                got = _interleaving(lengths, schedule, seed)
-                assert not isinstance(got, list)
-                assert list(got) == interleaving_list(lengths, schedule, seed)
+        assert_every_order_gives_the_federation_root(y, FederationConfig(rank=4, batch_size=10))
 
     def test_thread_pool_is_result_identical(self):
         y = global_matrix(4, 8, 80)
@@ -164,19 +188,9 @@ class TestRunFederation:
         assert with_empty.per_level_ranks[0] == (4, 4, 0)
 
     def test_private_federation_ignores_schedule(self):
-        y = global_matrix(6, 6, 60)
-        streams = split_columns(y, 3)
-        tree = build_tree(3, 2)
-        outs = []
-        for schedule in SCHEDULES:
-            cfg = FederationConfig(
-                rank=2, batch_size=20, dp=DpConfig(1.0, 0.1),
-                seed=11, schedule=schedule,
-            )
-            outs.append(run_federation(streams, tree, cfg).estimate)
-        for est in outs[1:]:
-            assert np.array_equal(est.values, outs[0].values)
-            assert np.array_equal(est.basis, outs[0].basis)
+        y = global_matrix(6, 6, 90)
+        cfg = FederationConfig(rank=2, batch_size=20, dp=DpConfig(1.0, 0.1), seed=11)
+        assert_every_order_gives_the_federation_root(y, cfg)
 
     def test_private_federation_seed_changes_result(self):
         y = global_matrix(7, 6, 60)
@@ -197,8 +211,6 @@ class TestRunFederation:
             )
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            FederationConfig(rank=2, schedule="no_such_schedule")
         with pytest.raises(ValueError):
             FederationConfig(rank=2, dp=DpConfig(1.0, 0.1))  # seed missing
 
@@ -222,6 +234,11 @@ class TestDepthErrorProbe:
     def test_divisibility_enforced(self):
         with pytest.raises(ValueError):
             depth_error_probe(np.ones((4, 10)), fanout=2, depth=2, r=2)
+
+    def test_fanout_five_depth_three(self):
+        y = global_matrix(10, 6, 250)
+        measured, bound = depth_error_probe(y, fanout=5, depth=3, r=2)
+        assert 0 <= measured <= bound
 
     def test_depth_validation(self):
         with pytest.raises(ValueError):

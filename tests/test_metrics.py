@@ -76,6 +76,16 @@ class TestProjectionError:
         with pytest.raises(ValueError):
             projection_error(np.eye(3), np.ones((3, 2)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        y = np.random.default_rng(9).standard_normal((5, 30))
+        u = np.linalg.qr(np.random.default_rng(10).standard_normal((5, 2)))[0]
+        for r in (0, 2):
+            y_bad = y.copy()
+            y_bad[3, 17] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                projection_error(y_bad, u[:, :r])
+
     def test_matches_elementwise_squares(self):
         rng = np.random.default_rng(6)
         y = rng.standard_normal((40, 3000)) * np.linspace(1.0, 0.1, 40)[:, None]
