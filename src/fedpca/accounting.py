@@ -18,7 +18,6 @@ class AllocationTracker:
     """Records element counts of work buffers reported by kernels."""
 
     max_elements: int = 0
-    max_label: str = ""
     by_label: dict[str, int] = field(default_factory=dict)
     total_events: int = 0
 
@@ -30,12 +29,7 @@ class AllocationTracker:
         prev = self.by_label.get(label, 0)
         if elements > prev:
             self.by_label[label] = elements
-        if elements > self.max_elements:
-            self.max_elements = elements
-            self.max_label = label
-
-    def largest(self) -> tuple[str, int]:
-        return self.max_label, self.max_elements
+        self.max_elements = max(self.max_elements, elements)
 
 
 _active: list[AllocationTracker] = []

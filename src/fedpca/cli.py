@@ -219,9 +219,7 @@ def _write_manifest(path: Path, command: str, params: dict, meta: list[str]) -> 
 def _acquire_data(params: dict, meta: list[str]) -> np.ndarray:
     """Load --data or generate the configured synthetic matrix."""
     if params.get("data"):
-        x = load_csv(
-            params["data"], orientation=params["orientation"], normalize="none"
-        )
+        x = load_csv(params["data"], orientation=params["orientation"])
     else:
         if params.get("d") is None or params.get("n") is None:
             raise ConfigError("need --data or both --d and --n")
@@ -235,9 +233,9 @@ def _acquire_data(params: dict, meta: list[str]) -> np.ndarray:
     return x
 
 
-def _edge_pieces(params: dict, x: np.ndarray, meta: list[str]):
-    """EnergyBounds / DpConfig shared by edge and federated runs."""
-    n = x.shape[1]
+def _client_config(params: dict, x: np.ndarray, meta: list[str]) -> FederationConfig:
+    """The client settings shared by edge and federated runs."""
+    d, n = x.shape
     energy = (EnergyBounds(params["energy_alpha"], params["energy_beta"], params["max_rank"])
               if params["adaptive"] else None)
     dp = None
@@ -251,11 +249,20 @@ def _edge_pieces(params: dict, x: np.ndarray, meta: list[str]):
                 f"the unit ball (largest norm {float(np.max(norms)):.6g}); the "
                 "budget assumes every column norm <= 1"
             )
-    return energy, dp
+    return FederationConfig(
+        rank=min(params["rank"], d),
+        batch_size=params["batch"],
+        energy=energy,
+        dp=dp,
+        cov_block_width=params["cov_block"],
+        forgetting=params["forgetting"],
+        rescale_private=params["rescale_private"],
+        seed=params["seed"],
+    )
 
 
-def _log_edge_rows(log: MetricLog, timing: MetricLog, x: np.ndarray, client: EdgeClient, batch: int) -> None:
-    n = x.shape[1]
+def _log_edge_rows(log: MetricLog, timing: MetricLog, x: np.ndarray, client: EdgeClient) -> None:
+    n, batch = x.shape[1], client.batch_size
     block = 0
     for lo in range(0, n, batch):
         hi = min(lo + batch, n)
@@ -294,21 +301,8 @@ def cmd_synth(params: dict, out_dir: Path, log: MetricLog, timing: MetricLog) ->
 def cmd_run_edge(params: dict, out_dir: Path, log: MetricLog, timing: MetricLog) -> list[str]:
     meta: list[str] = []
     x = _acquire_data(params, meta)
-    d = x.shape[0]
-    energy, dp = _edge_pieces(params, x, meta)
-    rank = min(params["rank"], d)
-    client = EdgeClient(
-        d,
-        rank,
-        batch_size=params["batch"],
-        energy=energy,
-        dp=dp,
-        cov_block_width=params["cov_block"],
-        forgetting=params["forgetting"],
-        rng=derive_rng(params["seed"], 0) if dp is not None else None,
-        rescale_private=params["rescale_private"],
-    )
-    _log_edge_rows(log, timing, x, client, params["batch"])
+    client = _client_config(params, x, meta).client(x.shape[0])
+    _log_edge_rows(log, timing, x, client)
     meta.append(f"blocks={client.blocks_seen}")
     meta.append(_blas.describe())
     return meta
@@ -317,23 +311,11 @@ def cmd_run_edge(params: dict, out_dir: Path, log: MetricLog, timing: MetricLog)
 def cmd_run_federated(params: dict, out_dir: Path, log: MetricLog, timing: MetricLog) -> list[str]:
     meta: list[str] = []
     x = _acquire_data(params, meta)
-    d, n = x.shape
-    energy, dp = _edge_pieces(params, x, meta)
+    cfg = _client_config(params, x, meta)
     leaves = params["leaves"]
-    partition = partition_columns(n, leaves, params["policy"], params["seed"])
+    partition = partition_columns(x.shape[1], leaves, params["policy"], params["seed"])
     streams = partition.split(x)
     tree = build_tree(leaves, params["fanout"])
-    rank = min(params["rank"], d)
-
-    cfg = FederationConfig(
-        rank=rank,
-        batch_size=params["batch"],
-        energy=energy,
-        dp=dp,
-        cov_block_width=params["cov_block"],
-        forgetting=params["forgetting"],
-        seed=params["seed"],
-    )
     threads = (os.cpu_count() or 1) if params["threads"] is None else params["threads"]
     result = run_federation(streams, tree, cfg, threads)
     for i, value in enumerate(result.estimate.values):

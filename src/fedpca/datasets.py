@@ -87,22 +87,19 @@ def synth_gaussian_cov(d: int, n: int, alpha: float, seed: int) -> np.ndarray:
     return z
 
 
-def load_csv(path, orientation: str = "columns", normalize: str = "none") -> np.ndarray:
+def load_csv(path, orientation: str = "columns") -> np.ndarray:
     """Parse a numeric CSV into a d x n matrix of column samples.
 
     orientation "columns" takes the file as the matrix itself (rows are
     features); "rows" means each CSV row is one sample and the result is
     transposed. A single non-numeric first row is treated as a header and
-    skipped. normalize "unit-ball" divides every column by
-    max(1, largest column norm) so all samples fit in the unit ball.
+    skipped.
 
     Raises:
         DataError: empty file, ragged rows, or non-numeric cells.
     """
     if orientation not in ("columns", "rows"):
         raise ValueError(f"unknown orientation {orientation!r}")
-    if normalize not in ("none", "unit-ball"):
-        raise ValueError(f"unknown normalize mode {normalize!r}")
 
     rows: list[list[float]] = []
     width = None
@@ -133,10 +130,7 @@ def load_csv(path, orientation: str = "columns", normalize: str = "none") -> np.
     matrix = np.asarray(rows, dtype=np.float64)
     if orientation == "rows":
         matrix = matrix.T.copy()
-    matrix = ensure_matrix(matrix, str(path))
-    if normalize == "unit-ball":
-        matrix, _ = normalize_unit_ball(matrix)
-    return matrix
+    return ensure_matrix(matrix, str(path))
 
 
 def normalize_unit_ball(x) -> Tuple[np.ndarray, float]:

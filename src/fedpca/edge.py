@@ -20,7 +20,7 @@ import numpy as np
 
 from . import accounting
 from ._blas import single_thread
-from .linalg import SubspaceEstimate, ensure_matrix, merge, subspace_of
+from .linalg import SubspaceEstimate, _orthonormal_completion, ensure_matrix, merge, subspace_of
 from .privacy import (
     DpConfig,
     PrivacyInfeasibleError,
@@ -89,27 +89,12 @@ def adjust_rank(est: SubspaceEstimate, bounds: EnergyBounds) -> SubspaceEstimate
     ratio = energy_ratio(est.values, r)
     cap = est.dim if bounds.max_rank is None else min(est.dim, bounds.max_rank)
     if ratio > bounds.upper and r < cap:
-        direction = _fresh_direction(est.basis)
-        basis = np.hstack([est.basis, direction[:, None]])
+        basis = np.hstack([est.basis, _orthonormal_completion(est.basis, est.dim, 1)])
         values = np.append(est.values, 0.0)
         return SubspaceEstimate(basis, values)
     if ratio < bounds.lower and r > 1:
         return SubspaceEstimate(est.basis[:, : r - 1], est.values[: r - 1])
     return est
-
-
-def _fresh_direction(basis: np.ndarray) -> np.ndarray:
-    """First canonical vector with a usable component outside span(basis)."""
-    d = basis.shape[0]
-    for i in range(d):
-        w = np.zeros(d)
-        w[i] = 1.0
-        w -= basis @ (basis.T @ w)
-        w -= basis @ (basis.T @ w)
-        nrm = float(np.linalg.norm(w))
-        if nrm > 1e-6:
-            return w / nrm
-    raise ValueError("basis already spans the whole space; cannot grow")
 
 
 def ssvd(block, est: SubspaceEstimate, r: int) -> SubspaceEstimate:

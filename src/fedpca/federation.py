@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -80,7 +80,8 @@ def build_tree(leaf_count: int, fanout: int) -> FederationTree:
 class FederationConfig:
     """Settings shared by every client of a federation.
 
-    seed feeds per-client noise generators (required when dp is set).
+    Every field but seed is the EdgeClient parameter of the same name; seed
+    feeds per-client noise generators (required when dp is set).
     """
 
     rank: int
@@ -89,11 +90,18 @@ class FederationConfig:
     dp: Optional[DpConfig] = None
     cov_block_width: Optional[int] = None
     forgetting: float = 1.0
+    rescale_private: bool = False
     seed: Optional[int] = None
 
     def __post_init__(self):
         if self.dp is not None and self.seed is None:
             raise ValueError("dp federation needs a seed for the noise streams")
+
+    def client(self, dim: int, index: int = 0) -> EdgeClient:
+        """The client at leaf ``index``; with dp it draws from derive_rng(seed, index)."""
+        settings = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "seed"}
+        rng = derive_rng(self.seed, index) if self.dp is not None else None
+        return EdgeClient(dim, rng=rng, **settings)
 
 
 @dataclass(frozen=True)
@@ -169,20 +177,7 @@ def run_federation(
         mats.append(m)
     assert dim is not None
 
-    def make_client(i: int) -> EdgeClient:
-        rng = derive_rng(cfg.seed, i) if cfg.dp is not None else None
-        return EdgeClient(
-            dim,
-            cfg.rank,
-            batch_size=cfg.batch_size,
-            energy=cfg.energy,
-            dp=cfg.dp,
-            cov_block_width=cfg.cov_block_width,
-            forgetting=cfg.forgetting,
-            rng=rng,
-        )
-
-    clients = [make_client(i) for i in range(tree.leaf_count)]
+    clients = [cfg.client(dim, i) for i in range(tree.leaf_count)]
 
     if max_workers is not None and max_workers > 1:
         def feed(client: EdgeClient, m: np.ndarray) -> None:

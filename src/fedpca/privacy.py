@@ -127,18 +127,12 @@ def omega_symmetric_sulq(dp: DpConfig, d: int, n: int) -> NoiseScale:
 def min_batch_size(dp: DpConfig, d: int, omega_floor: float) -> int:
     """Smallest batch width whose streaming noise scale stays <= omega_floor.
 
-    Inverts the omega_streaming formula in n (both terms scale as 1/n):
-    n >= (1 / omega_floor) [ (4 d / eps) sqrt(2 ln(d^2 / (delta sqrt(2 pi))))
-                             + sqrt(2 / eps) ].
+    Both terms of omega_streaming scale as 1/n, so the width is the n = 1
+    scale divided by omega_floor, rounded up.
     """
-    if d < 1:
-        raise ValueError(f"dimension must be positive, got {d}")
     if not omega_floor > 0:
         raise ValueError(f"omega_floor must be positive, got {omega_floor}")
-    log_term = _checked_log(d * d / (dp.delta * _SQRT_2PI))
-    numerator = (4.0 * d / dp.epsilon) * math.sqrt(2.0 * log_term)
-    numerator += math.sqrt(2.0 / dp.epsilon)
-    return max(1, math.ceil(numerator / omega_floor))
+    return max(1, math.ceil(omega_streaming(dp, d, 1).omega / omega_floor))
 
 
 def derive_rng(root_seed: int, *key: int) -> np.random.Generator:

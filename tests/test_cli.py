@@ -10,8 +10,9 @@ import pytest
 from fedpca import _blas
 from fedpca.cli import EPSILON_FLOOR, build_parser, main, resolve_params
 from fedpca.datasets import SynthSpec, load_csv, normalize_unit_ball, synth, synth_gaussian_cov
-from fedpca.federation import depth_error_probe
+from fedpca.federation import FederationConfig, build_tree, depth_error_probe, run_federation
 from fedpca.linalg import singular_values
+from fedpca.privacy import DpConfig
 
 
 def run_ok(argv):
@@ -239,6 +240,22 @@ class TestRunFederated:
             assert "threads=" in manifest_lines(out / "manifest.txt")
             metrics.append((out / "metrics.csv").read_bytes())
         assert metrics[0] == metrics[1]
+
+    def test_rescale_private_reaches_the_clients(self, tmp_path):
+        argv = ["run-federated", "--d", "8", "--n", "80", "--leaves", "4", "--rank", "3",
+                "--batch", "10", "--epsilon", "1", "--normalize", "unit-ball",
+                "--seed", "3", "--threads", "1"]
+        values = {}
+        for flag in ([], ["--rescale-private"]):
+            out = tmp_path / f"r{len(flag)}"
+            run_ok(argv + flag + ["--out", str(out)])
+            values[bool(flag)] = [float(r["value"]) for r in read_metrics(out, "global_value")]
+        x, _ = normalize_unit_ball(synth(SynthSpec(8, 80, 1.0, 3)))
+        cfg = FederationConfig(rank=3, batch_size=10, dp=DpConfig(1.0, 0.1),
+                               rescale_private=True, seed=3)
+        lib = run_federation(np.array_split(x, 4, axis=1), build_tree(4, 2), cfg)
+        assert values[True] == [float(v) for v in lib.estimate.values]
+        assert values[True] != values[False]
 
     def test_merge_count_row(self, tmp_path):
         out = tmp_path / "m"

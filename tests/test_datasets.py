@@ -140,7 +140,7 @@ class TestCsvRoundTrip:
     def test_unit_ball_normalization(self, tmp_path):
         p = tmp_path / "n.csv"
         p.write_text("3,0.1\n4,0.1\n")
-        got = load_csv(p, normalize="unit-ball")
+        got, _ = normalize_unit_ball(load_csv(p))
         assert np.max(np.linalg.norm(got, axis=0)) <= 1.0 + 1e-15
         assert np.allclose(got[:, 0], [0.6, 0.8])
 

@@ -1,8 +1,11 @@
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 
 from fedpca import _blas
-from fedpca.edge import EdgeClient
+from fedpca.edge import EdgeClient, EnergyBounds
 from fedpca.federation import (
     FederationConfig,
     aggregate_once,
@@ -29,11 +32,7 @@ def interleaved_root(streams, fanout, cfg, schedule, seed):
     The leaves are merged in runs of ``fanout``, level by level, without
     going through the library's tree walk.
     """
-    clients = [
-        EdgeClient(s.shape[0], cfg.rank, batch_size=cfg.batch_size, dp=cfg.dp,
-                   rng=derive_rng(cfg.seed, i) if cfg.dp is not None else None)
-        for i, s in enumerate(streams)
-    ]
+    clients = [cfg.client(s.shape[0], i) for i, s in enumerate(streams)]
     cursor = [0] * len(streams)
     for i in interleaving_list([s.shape[1] for s in streams], schedule, seed):
         clients[i].observe(streams[i][:, cursor[i]])
@@ -213,6 +212,23 @@ class TestRunFederation:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             FederationConfig(rank=2, dp=DpConfig(1.0, 0.1))  # seed missing
+
+    def test_config_lists_every_client_setting(self):
+        # a client setting the config lacks can never reach a federated leaf
+        params = inspect.signature(EdgeClient.__init__).parameters
+        settings = set(params) - {"self", "dim", "rng"}
+        assert settings == {f.name for f in dataclasses.fields(FederationConfig)} - {"seed"}
+
+    def test_client_carries_every_setting(self):
+        cfg = FederationConfig(rank=3, batch_size=12, energy=EnergyBounds(0.02, 0.2, 5),
+                               dp=DpConfig(1.0, 0.1), cov_block_width=4, forgetting=0.9,
+                               rescale_private=True, seed=7)
+        client = cfg.client(8, 2)
+        for f in dataclasses.fields(cfg):
+            if f.name != "seed":
+                assert getattr(client, f.name) == getattr(cfg, f.name)
+        assert client.rng.random() == derive_rng(7, 2).random()
+        assert FederationConfig(rank=3).client(8).rng is None
 
 
 class TestDepthErrorProbe:
