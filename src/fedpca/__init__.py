@@ -49,8 +49,6 @@ from .metrics import (
 from .privacy import (
     CalibrationError,
     DpConfig,
-    MaskedCovBlock,
-    NoiseScale,
     PrivacyInfeasibleError,
     derive_rng,
     gaussian_mask,
@@ -70,10 +68,8 @@ __all__ = [
     "FederationConfig",
     "FederationTree",
     "GlobalEstimate",
-    "MaskedCovBlock",
     "MetricLog",
     "MetricRow",
-    "NoiseScale",
     "PrivacyInfeasibleError",
     "StreamPartition",
     "SubspaceEstimate",

@@ -43,11 +43,8 @@ from .federation import FederationConfig, build_tree, depth_error_probe, run_fed
 from .linalg import truncated_svd
 from .metrics import MetricLog, projection_error, qa_overlap
 from .privacy import (
-    SULQ_SYMMETRIC,
-    STREAMING_NONSYMMETRIC,
     CalibrationError,
     DpConfig,
-    NoiseScale,
     PrivacyInfeasibleError,
     derive_rng,
     masked_cov_blocks,
@@ -341,12 +338,8 @@ def _sweep_estimators(
 ) -> dict[str, np.ndarray]:
     """Leading-direction estimates for the three private estimators."""
     d, n = x.shape
-    if dp is None:
-        scale_stream = NoiseScale(0.0, STREAMING_NONSYMMETRIC)
-        scale_sym = NoiseScale(0.0, SULQ_SYMMETRIC)
-    else:
-        scale_stream = omega_streaming(dp, d, n)
-        scale_sym = omega_symmetric_sulq(dp, d, n)
+    omega_stream = omega_streaming(dp, d, n) if dp is not None else 0.0
+    omega_sym = omega_symmetric_sulq(dp, d, n) if dp is not None else 0.0
 
     client = EdgeClient(
         d,
@@ -359,10 +352,10 @@ def _sweep_estimators(
     client.process_batch(x)
     v_fpca = client.estimate.basis[:, 0]
 
-    slab = next(masked_cov_blocks(x, d, scale_stream, rngs[1]))
-    v_direct = truncated_svd(slab.data, 1).basis[:, 0]
+    slab = next(masked_cov_blocks(x, d, omega_stream, rngs[1]))
+    v_direct = truncated_svd(slab, 1).basis[:, 0]
 
-    cov = (x @ x.T) / n + symmetric_gaussian_mask(d, scale_sym, rngs[2])
+    cov = (x @ x.T) / n + symmetric_gaussian_mask(d, omega_sym, rngs[2])
     _, vecs = np.linalg.eigh(cov)
     v_sym = vecs[:, -1]
 
@@ -418,16 +411,23 @@ def cmd_utility_sweep(params: dict, out_dir: Path, log: MetricLog, timing: Metri
 
 
 def cmd_depth_probe(params: dict, out_dir: Path, log: MetricLog, timing: MetricLog) -> list[str]:
+    """Measured tree error and its bound at each depth.
+
+    within_bound allows sqrt(64 eps) ||Y||_F of rounding. Past 512 columns the
+    bound's tail spectrum comes from Gram eigenvalues, good to k eps ||Y||_F^2
+    (k <= 2 seen, 64 allowed), so a tail value near 0 is known only to that.
+    """
     meta: list[str] = []
     x = _acquire_data(params, meta)
     d = x.shape[0]
     rank = min(params["rank"], d)
+    slack = math.sqrt(64.0 * np.finfo(np.float64).eps) * float(np.linalg.norm(x))
     for depth in _parse_list(params["depths"], int):
         measured, bound = depth_error_probe(x, params["fanout"], depth, rank)
         tags = {"fanout": params["fanout"], "rank": rank}
         log.add("measured_error", measured, t=depth, **tags)
         log.add("error_bound", bound, t=depth, **tags)
-        log.add("within_bound", float(measured <= bound + 1e-12), t=depth, **tags)
+        log.add("within_bound", float(measured <= bound + slack), t=depth, **tags)
     return meta
 
 

@@ -242,12 +242,11 @@ class EdgeClient:
                     f"privacy-infeasible batch: width {width} is below the "
                     f"minimum {needed} for omega_floor={self.dp.omega_floor}"
                 )
-        scale = omega_streaming(self.dp, self.dim, width)
-        self.last_omega = scale.omega
+        self.last_omega = omega_streaming(self.dp, self.dim, width)
 
         local = SubspaceEstimate.empty(self.dim)
-        for slab in masked_cov_blocks(m, self.cov_block_width, scale, self.rng):
-            local = ssvd(slab.data, local, self.rank)
+        for slab in masked_cov_blocks(m, self.cov_block_width, self.last_omega, self.rng):
+            local = ssvd(slab, local, self.rank)
         if self.rescale_private and local.rank:
             local = SubspaceEstimate(local.basis, np.sqrt(width * local.values))
 

@@ -19,7 +19,7 @@ import numpy as np
 from ._blas import single_thread
 from .edge import EdgeClient, EnergyBounds
 from .linalg import SubspaceEstimate, ensure_matrix, merge, subspace_of
-from .metrics import procrustes_align_error, residual_rho
+from .metrics import residual_rho
 from .privacy import DpConfig, derive_rng
 
 
@@ -202,9 +202,13 @@ def depth_error_probe(
 
     The matrix is split into fanout**depth equal column blocks, each reduced
     to a rank-r summary, and the summaries are merged up a full tree. The
-    measured error aligns the root reconstruction (U * S, zero-padded to the
-    input width) with the input over the orthogonal group; the bound is
-    ((1 + sqrt(2))**(depth + 1) - 1) times the best rank-r residual.
+    measured error aligns the root reconstruction B = [U * S | 0], zero-padded
+    to the input width, with the input over the orthogonal group; the bound
+    is ((1 + sqrt(2))**(depth + 1) - 1) times the best rank-r residual.
+    B is never formed: with (U * S)^T Y = P Sigma Q^T the best rotation sends
+    B to (U * S) P Q^T, and ||Y - (U * S) P Q^T||_F is summed block by block.
+    Unlike the cancelling sum in metrics.procrustes_align_error, this reads
+    at most a few hundred eps ||Y||_F on an exact tree.
 
     Returns:
         (measured, bound).
@@ -226,9 +230,13 @@ def depth_error_probe(
     ]
     root = _aggregate_tree(summaries, build_tree(leaves, fanout), r).estimate
 
-    padded = np.zeros((d, n))
-    if root.rank:
-        padded[:, : root.rank] = root.basis * root.values
-    measured = procrustes_align_error(m, padded)
+    scaled = root.basis * root.values
+    p, _, qt = np.linalg.svd(scaled.T @ m, full_matrices=False)
+    aligned = scaled @ p
+    sq = 0.0
+    for lo in range(0, n, width):
+        part = m[:, lo : lo + width] - aligned @ qt[:, lo : lo + width]
+        sq += float(np.einsum("ij,ij->", part, part))
+    measured = math.sqrt(sq)
     bound = ((1.0 + math.sqrt(2.0)) ** (depth + 1) - 1.0) * residual_rho(m, r)
     return measured, bound

@@ -20,10 +20,6 @@ from .linalg import ensure_matrix
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
-STREAMING_NONSYMMETRIC = "streaming_nonsymmetric"
-SULQ_SYMMETRIC = "sulq_symmetric"
-_FLAVORS = (STREAMING_NONSYMMETRIC, SULQ_SYMMETRIC)
-
 
 class CalibrationError(ValueError):
     """The privacy parameters leave the noise scale undefined."""
@@ -55,33 +51,6 @@ class DpConfig:
             raise ValueError("omega_floor must be positive when given")
 
 
-@dataclass(frozen=True)
-class NoiseScale:
-    """Standard deviation of the covariance mask, tagged with its recipe.
-
-    omega == 0 is permitted as the noiseless probe setting used by tests
-    and by runs that disable masking while keeping the block plumbing.
-    """
-
-    omega: float
-    flavor: str
-
-    def __post_init__(self):
-        if not self.omega >= 0 or not math.isfinite(self.omega):
-            raise ValueError(f"omega must be finite and >= 0, got {self.omega}")
-        if self.flavor not in _FLAVORS:
-            raise ValueError(f"unknown flavor {self.flavor!r}")
-
-
-@dataclass(frozen=True)
-class MaskedCovBlock:
-    """One perturbed slab of the batch covariance, columns [col_start, col_stop)."""
-
-    data: np.ndarray
-    col_start: int
-    col_stop: int
-
-
 def _checked_log(argument: float) -> float:
     if argument <= 1.0:
         raise CalibrationError(
@@ -98,8 +67,8 @@ def _check_dims(d: int, n: int) -> None:
         raise ValueError(f"batch width must be positive, got {n}")
 
 
-def omega_streaming(dp: DpConfig, d: int, n: int) -> NoiseScale:
-    """Mask scale for non-symmetric per-batch covariance release.
+def omega_streaming(dp: DpConfig, d: int, n: int) -> float:
+    """Mask standard deviation for non-symmetric per-batch covariance release.
 
     omega = (4 d / (eps n)) sqrt(2 ln(d^2 / (delta sqrt(2 pi))))
             + sqrt(2) / (sqrt(eps) n)
@@ -108,11 +77,11 @@ def omega_streaming(dp: DpConfig, d: int, n: int) -> NoiseScale:
     log_term = _checked_log(d * d / (dp.delta * _SQRT_2PI))
     omega = (4.0 * d / (dp.epsilon * n)) * math.sqrt(2.0 * log_term)
     omega += math.sqrt(2.0) / (math.sqrt(dp.epsilon) * n)
-    return NoiseScale(omega, STREAMING_NONSYMMETRIC)
+    return omega
 
 
-def omega_symmetric_sulq(dp: DpConfig, d: int, n: int) -> NoiseScale:
-    """Mask scale for the symmetric one-shot covariance release.
+def omega_symmetric_sulq(dp: DpConfig, d: int, n: int) -> float:
+    """Mask standard deviation for the symmetric one-shot covariance release.
 
     omega = ((d + 1) / (n eps)) sqrt(2 ln((d^2 + d) / (2 delta sqrt(2 pi))))
             + 1 / (n sqrt(eps))
@@ -121,7 +90,7 @@ def omega_symmetric_sulq(dp: DpConfig, d: int, n: int) -> NoiseScale:
     log_term = _checked_log((d * d + d) / (2.0 * dp.delta * _SQRT_2PI))
     omega = ((d + 1.0) / (n * dp.epsilon)) * math.sqrt(2.0 * log_term)
     omega += 1.0 / (n * math.sqrt(dp.epsilon))
-    return NoiseScale(omega, SULQ_SYMMETRIC)
+    return omega
 
 
 def min_batch_size(dp: DpConfig, d: int, omega_floor: float) -> int:
@@ -132,7 +101,7 @@ def min_batch_size(dp: DpConfig, d: int, omega_floor: float) -> int:
     """
     if not omega_floor > 0:
         raise ValueError(f"omega_floor must be positive, got {omega_floor}")
-    return max(1, math.ceil(omega_streaming(dp, d, 1).omega / omega_floor))
+    return max(1, math.ceil(omega_streaming(dp, d, 1) / omega_floor))
 
 
 def derive_rng(root_seed: int, *key: int) -> np.random.Generator:
@@ -145,38 +114,33 @@ def derive_rng(root_seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(ss)
 
 
-def gaussian_mask(
-    d: int, c: int, scale: NoiseScale, rng: np.random.Generator
-) -> np.ndarray:
-    """iid N(0, omega^2) matrix of shape (d, c); all zeros when omega == 0."""
+def gaussian_mask(d: int, c: int, omega: float, rng: np.random.Generator) -> np.ndarray:
+    """(d, c) matrix of iid N(0, omega^2), all zeros at omega == 0; the one check on omega."""
     if d < 1 or c < 1:
         raise ValueError(f"mask shape must be positive, got ({d}, {c})")
+    if not omega >= 0 or not math.isfinite(omega):
+        raise ValueError(f"omega must be finite and >= 0, got {omega}")
     accounting.note("privacy.mask", (d, c))
-    if scale.omega == 0.0:
+    if omega == 0.0:
         return np.zeros((d, c))
-    return rng.normal(0.0, scale.omega, size=(d, c))
+    return rng.normal(0.0, omega, size=(d, c))
 
 
-def symmetric_gaussian_mask(
-    d: int, scale: NoiseScale, rng: np.random.Generator
-) -> np.ndarray:
+def symmetric_gaussian_mask(d: int, omega: float, rng: np.random.Generator) -> np.ndarray:
     """Symmetric d x d mask: iid N(0, omega^2) on and above the diagonal."""
-    if d < 1:
-        raise ValueError(f"dimension must be positive, got {d}")
-    accounting.note("privacy.mask", (d, d))
-    upper = np.triu(rng.normal(0.0, scale.omega, size=(d, d)) if scale.omega else np.zeros((d, d)))
+    upper = np.triu(gaussian_mask(d, d, omega, rng))
     return upper + np.triu(upper, 1).T
 
 
 def masked_cov_blocks(
-    batch, c: int, scale: NoiseScale, rng: np.random.Generator
-) -> Iterator[MaskedCovBlock]:
+    batch, c: int, omega: float, rng: np.random.Generator
+) -> Iterator[np.ndarray]:
     """Yield the perturbed batch covariance in column slabs of width c.
 
-    For a batch B (d x b), slab k covers covariance columns
-    [k c, min((k+1) c, d)) and equals (1/b) B (B^T)[:, cols] plus a fresh
-    mask. Concatenating all slabs with omega == 0 rebuilds (1/b) B B^T
-    exactly; only one slab is alive at a time.
+    For a batch B (d x b), slab k is a d x min(c, d - k c) array covering
+    covariance columns [k c, min((k+1) c, d)); it equals
+    (1/b) B (B^T)[:, cols] plus a fresh mask. Concatenating all slabs with
+    omega == 0 rebuilds (1/b) B B^T exactly; only one slab is alive at a time.
     """
     m = ensure_matrix(batch, "batch")
     d, b = m.shape
@@ -187,5 +151,5 @@ def masked_cov_blocks(
         hi = min(lo + c, d)
         slab = (m @ m[lo:hi, :].T) * inv_b
         accounting.note("privacy.cov_slab", slab.shape)
-        slab += gaussian_mask(d, hi - lo, scale, rng)
-        yield MaskedCovBlock(slab, lo, hi)
+        slab += gaussian_mask(d, hi - lo, omega, rng)
+        yield slab

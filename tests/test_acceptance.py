@@ -136,7 +136,7 @@ def test_criterion_5_noise_calibration():
     scale = omega_streaming(DpConfig(1.0, delta), d, 5000)
     mask = gaussian_mask(1000, 1000, scale, np.random.default_rng(0))
     assert mask.size == 10**6
-    assert abs(np.var(mask) - scale.omega**2) <= 0.01 * scale.omega**2
+    assert abs(np.var(mask) - scale**2) <= 0.01 * scale**2
 
     eps_grid = np.geomspace(0.1, 4.0, 10)
     n_grid = np.linspace(500, 5000, 10).astype(int)
@@ -144,7 +144,7 @@ def test_criterion_5_noise_calibration():
     for i, eps in enumerate(eps_grid):
         dp = DpConfig(float(eps), delta)
         for j, n in enumerate(n_grid):
-            omegas[i, j] = omega_streaming(dp, d, int(n)).omega
+            omegas[i, j] = omega_streaming(dp, d, int(n))
             assert abs(min_batch_size(dp, d, omegas[i, j]) - int(n)) <= 1
     assert np.all(np.diff(omegas, axis=0) < 0)  # strictly decreasing in eps
     assert np.all(np.diff(omegas, axis=1) < 0)  # strictly decreasing in n

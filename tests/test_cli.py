@@ -411,6 +411,15 @@ class TestDepthProbe:
         flags = [float(r["value"]) for r in read_metrics(out, "within_bound")]
         assert flags == [1.0, 1.0]
 
+    def test_full_rank_trees_are_within_bound(self, tmp_path):
+        # the bound is 0 at r = d, so only rounding separates the two
+        for seed in range(6):
+            out = tmp_path / str(seed)
+            run_ok(["depth-probe", "--d", "5", "--n", "64", "--rank", "5",
+                    "--depths", "1,2,3", "--seed", str(seed), "--out", str(out)])
+            flags = [float(r["value"]) for r in read_metrics(out, "within_bound")]
+            assert flags == [1.0, 1.0, 1.0]
+
     def test_indivisible_leaves_exit_2(self, tmp_path):
         assert main(["depth-probe", "--d", "8", "--n", "100", "--depths", "3",
                      "--fanout", "2", "--seed", "0",

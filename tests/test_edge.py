@@ -261,7 +261,7 @@ class TestEdgeClientPrivate:
         dp = DpConfig(0.5, 0.1)
         client = EdgeClient(dim=6, rank=2, batch_size=50, dp=dp, rng=derive_rng(1, 0))
         client.process_batch(np.random.default_rng(0).standard_normal((6, 20)))
-        assert client.last_omega == omega_streaming(dp, 6, 20).omega
+        assert client.last_omega == omega_streaming(dp, 6, 20)
         assert client.short_batches == 1
 
     def test_infeasible_batch_raises(self):

@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from fedpca.federation import (
     run_federation,
 )
 from fedpca.linalg import SubspaceEstimate, subspace_of
+from fedpca.metrics import procrustes_align_error
 from fedpca.privacy import DpConfig, derive_rng
 from oracles import SCHEDULES, interleaving_list, projector_distance
 
@@ -246,6 +248,31 @@ class TestDepthErrorProbe:
             for r in (3, 8):
                 measured, bound = depth_error_probe(y, fanout=2, depth=depth, r=r)
                 assert 0 <= measured <= bound
+
+    def test_measured_matches_padded_procrustes(self):
+        # the oracle forms the zero-padded d x n root that the probe avoids
+        for seed, (d, n, depth, r) in enumerate([(9, 64, 2, 3), (6, 40, 1, 2), (12, 96, 3, 5)]):
+            y = global_matrix(seed, d, n)
+            measured, _ = depth_error_probe(y, fanout=2, depth=depth, r=r)
+            level = [subspace_of(b, r) for b in split_columns(y, 2**depth)]
+            while len(level) > 1:
+                level = [aggregate_once(level[i : i + 2], r) for i in range(0, len(level), 2)]
+            est = level[0]
+            padded = np.zeros((d, n))
+            padded[:, : est.rank] = est.basis * est.values
+            want = procrustes_align_error(y, padded)
+            assert abs(measured - want) <= 1e-10 * want
+
+    def test_peak_memory_within_twice_the_input(self):
+        y = global_matrix(4, 16, 2048)
+        depth_error_probe(y[:, :64], fanout=2, depth=2, r=4)  # first-use imports
+        tracemalloc.start()
+        try:
+            depth_error_probe(y, fanout=2, depth=2, r=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * y.nbytes
 
     def test_divisibility_enforced(self):
         with pytest.raises(ValueError):

@@ -4,11 +4,8 @@ import numpy as np
 import pytest
 
 from fedpca.privacy import (
-    STREAMING_NONSYMMETRIC,
-    SULQ_SYMMETRIC,
     CalibrationError,
     DpConfig,
-    NoiseScale,
     derive_rng,
     gaussian_mask,
     masked_cov_blocks,
@@ -29,42 +26,42 @@ MIN_BATCH_REF = 3219  # eps=0.1 delta=0.05 d=20 floor=1.0
 class TestNoiseScales:
     def test_streaming_frozen_value(self):
         got = omega_streaming(DpConfig(0.1, 0.05), 20, 5000)
-        assert abs(got.omega - OMEGA_STREAM_REF) < 1e-12
-        assert got.flavor == STREAMING_NONSYMMETRIC
+        assert type(got) is float
+        assert abs(got - OMEGA_STREAM_REF) < 1e-12
 
     def test_streaming_small_case(self):
         got = omega_streaming(DpConfig(1.0, 0.1), 8, 1000)
-        assert abs(got.omega - OMEGA_STREAM_SMALL) < 1e-12
+        assert abs(got - OMEGA_STREAM_SMALL) < 1e-12
 
     def test_symmetric_frozen_value(self):
         got = omega_symmetric_sulq(DpConfig(0.1, 0.05), 20, 5000)
-        assert abs(got.omega - OMEGA_SYM_REF) < 1e-12
-        assert got.flavor == SULQ_SYMMETRIC
+        assert type(got) is float
+        assert abs(got - OMEGA_SYM_REF) < 1e-12
 
     def test_matches_high_precision_oracle_on_grid(self):
         for eps in (0.05, 0.3, 1.0, 4.0):
             for d in (2, 16, 128):
                 for n in (10, 1000):
                     want = omega_streaming_hp(eps, 0.05, d, n)
-                    got = omega_streaming(DpConfig(eps, 0.05), d, n).omega
+                    got = omega_streaming(DpConfig(eps, 0.05), d, n)
                     assert abs(got - want) < 1e-12 * max(1.0, want)
                     want = omega_symmetric_hp(eps, 0.05, d, n)
-                    got = omega_symmetric_sulq(DpConfig(eps, 0.05), d, n).omega
+                    got = omega_symmetric_sulq(DpConfig(eps, 0.05), d, n)
                     assert abs(got - want) < 1e-12 * max(1.0, want)
 
     def test_batch_doubling_halves_leading_term(self):
         cfg = DpConfig(0.1, 0.05)
-        a = omega_streaming(cfg, 20, 5000).omega
-        b = omega_streaming(cfg, 20, 10000).omega
+        a = omega_streaming(cfg, 20, 5000)
+        b = omega_streaming(cfg, 20, 10000)
         assert abs(a - 2.0 * b) < 1e-12  # both terms scale as 1/n
 
     def test_monotone_in_epsilon_and_batch(self):
         eps_grid = np.linspace(0.05, 4.0, 10)
         n_grid = np.linspace(100, 10_000, 10).astype(int)
         for fn in (omega_streaming, omega_symmetric_sulq):
-            row = [fn(DpConfig(e, 0.05), 20, 5000).omega for e in eps_grid]
+            row = [fn(DpConfig(e, 0.05), 20, 5000) for e in eps_grid]
             assert np.all(np.diff(row) < 0)
-            col = [fn(DpConfig(0.1, 0.05), 20, int(n)).omega for n in n_grid]
+            col = [fn(DpConfig(0.1, 0.05), 20, int(n)) for n in n_grid]
             assert np.all(np.diff(col) < 0)
 
     def test_degenerate_log_raises(self):
@@ -82,7 +79,7 @@ class TestNoiseScales:
         with pytest.raises(ValueError):
             DpConfig(1.0, 1.0)
         with pytest.raises(ValueError):
-            NoiseScale(-0.1, STREAMING_NONSYMMETRIC)
+            DpConfig(1.0, 0.05, omega_floor=0.0)
 
 
 class TestMinBatchSize:
@@ -95,9 +92,9 @@ class TestMinBatchSize:
         cfg = DpConfig(0.1, 0.05)
         for floor in (0.5, 1.0, 2.0):
             n = min_batch_size(cfg, 20, floor)
-            assert omega_streaming(cfg, 20, n).omega <= floor + 1e-12
+            assert omega_streaming(cfg, 20, n) <= floor + 1e-12
             if n > 1:
-                assert omega_streaming(cfg, 20, n - 1).omega > floor
+                assert omega_streaming(cfg, 20, n - 1) > floor
 
     def test_tighter_floor_needs_more_samples(self):
         cfg = DpConfig(0.5, 0.05)
@@ -111,24 +108,41 @@ class TestMinBatchSize:
 class TestMasks:
     def test_zero_omega_is_exact_zero(self):
         rng = np.random.default_rng(0)
-        m = gaussian_mask(4, 7, NoiseScale(0.0, STREAMING_NONSYMMETRIC), rng)
+        m = gaussian_mask(4, 7, 0.0, rng)
         assert m.shape == (4, 7)
         assert np.count_nonzero(m) == 0
 
     def test_variance_within_one_percent(self):
         rng = np.random.default_rng(42)
-        scale = NoiseScale(0.5, STREAMING_NONSYMMETRIC)
-        m = gaussian_mask(1000, 1000, scale, rng)
+        m = gaussian_mask(1000, 1000, 0.5, rng)
         assert abs(m.var() / 0.25 - 1.0) < 0.01
         se = 0.5 / math.sqrt(1_000_000)
         assert abs(m.mean()) < 3 * se
 
     def test_symmetric_mask_properties(self):
         rng = np.random.default_rng(7)
-        m = symmetric_gaussian_mask(200, NoiseScale(0.3, SULQ_SYMMETRIC), rng)
+        m = symmetric_gaussian_mask(200, 0.3, rng)
         assert np.array_equal(m, m.T)
         off = m[np.triu_indices(200, 1)]
         assert abs(off.var() / 0.09 - 1.0) < 0.05
+
+    def test_symmetric_mask_is_the_triangle_of_one_draw(self):
+        # bit for bit the draw the sweep has always used, so its outputs hold
+        for d, omega in ((1, 0.3), (6, 0.3), (50, 1.7)):
+            got = symmetric_gaussian_mask(d, omega, np.random.default_rng(9))
+            upper = np.triu(np.random.default_rng(9).normal(0.0, omega, size=(d, d)))
+            assert np.array_equal(got, upper + np.triu(upper, 1).T)
+        assert np.count_nonzero(symmetric_gaussian_mask(5, 0.0, np.random.default_rng(0))) == 0
+
+    @pytest.mark.parametrize("omega", [-0.1, math.nan, math.inf])
+    def test_bad_omega_rejected(self, omega):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="omega"):
+            gaussian_mask(3, 2, omega, rng)
+        with pytest.raises(ValueError, match="omega"):
+            symmetric_gaussian_mask(3, omega, rng)
+        with pytest.raises(ValueError, match="omega"):
+            next(masked_cov_blocks(np.ones((3, 4)), 2, omega, rng))
 
     def test_derive_rng_is_stable_and_distinct(self):
         a = derive_rng(123, 0, 1).standard_normal(4)
@@ -144,36 +158,35 @@ class TestMaskedCovBlocks:
         m = rng.standard_normal((10, 40))
         want = (m @ m.T) / 40.0
         for width in (1, 3, 9, 10):
-            slabs = []
-            for block in masked_cov_blocks(
-                m, width, NoiseScale(0.0, STREAMING_NONSYMMETRIC), rng
-            ):
-                assert block.data.shape == (10, block.col_stop - block.col_start)
-                slabs.append(block.data)
-            got = np.hstack(slabs)
+            got = np.hstack(list(masked_cov_blocks(m, width, 0.0, rng)))
             assert got.shape == (10, 10)
             assert np.max(np.abs(got - want)) < 1e-12
 
     def test_blocks_cover_disjoint_column_ranges(self):
         rng = np.random.default_rng(5)
         m = rng.standard_normal((7, 20))
-        spans = [
-            (b.col_start, b.col_stop)
-            for b in masked_cov_blocks(m, 3, NoiseScale(0.1, STREAMING_NONSYMMETRIC), rng)
-        ]
-        assert spans == [(0, 3), (3, 6), (6, 7)]
+        want = (m @ m.T) / 20.0
+        slabs = list(masked_cov_blocks(m, 3, 0.0, rng))
+        assert [s.shape for s in slabs] == [(7, 3), (7, 3), (7, 1)]
+        for k, slab in enumerate(slabs):
+            assert np.max(np.abs(slab - want[:, 3 * k : 3 * k + 3])) < 1e-12
+
+    @pytest.mark.parametrize("d, c", [(1, 1), (5, 2), (8, 8), (9, 4), (4, 10)])
+    def test_slab_k_has_width_min_c_and_rest(self, d, c):
+        rng = np.random.default_rng(2)
+        shapes = [s.shape for s in masked_cov_blocks(rng.standard_normal((d, 6)), c, 0.2, rng)]
+        assert shapes == [(d, min(c, d - k * c)) for k in range(math.ceil(d / c))]
 
     def test_noise_level_matches_omega(self):
         rng = np.random.default_rng(11)
         d, n = 50, 30
         m = np.zeros((d, n))  # pure noise remains
-        blocks = list(masked_cov_blocks(m, d, NoiseScale(0.5, STREAMING_NONSYMMETRIC), rng))
-        noise = blocks[0].data
+        (noise,) = masked_cov_blocks(m, d, 0.5, rng)
         assert abs(noise.var() / 0.25 - 1.0) < 0.1
 
     def test_bad_width_rejected(self):
         rng = np.random.default_rng(0)
         m = np.zeros((4, 4))
-        gen = masked_cov_blocks(m, 0, NoiseScale(0.1, STREAMING_NONSYMMETRIC), rng)
+        gen = masked_cov_blocks(m, 0, 0.1, rng)
         with pytest.raises(ValueError):
             next(gen)
