@@ -33,18 +33,15 @@ from .linalg import (
     SubspaceEstimate,
     economy_qr,
     merge,
-    singular_values,
     subspace_of,
     truncated_svd,
 )
 from .metrics import (
     MetricLog,
     MetricRow,
-    procrustes_align_error,
     projection_error,
     qa_overlap,
     residual_rho,
-    subspace_distance,
 )
 from .privacy import (
     CalibrationError,
@@ -90,15 +87,12 @@ __all__ = [
     "omega_streaming",
     "omega_symmetric_sulq",
     "partition_columns",
-    "procrustes_align_error",
     "projection_error",
     "qa_overlap",
     "residual_rho",
     "run_federation",
     "save_matrix_csv",
-    "singular_values",
     "ssvd",
-    "subspace_distance",
     "subspace_of",
     "synth",
     "synth_gaussian_cov",

@@ -96,7 +96,7 @@ def load_csv(path, orientation: str = "columns") -> np.ndarray:
     skipped.
 
     Raises:
-        DataError: empty file, ragged rows, or non-numeric cells.
+        DataError: empty file, ragged rows, non-numeric or non-finite cells.
     """
     if orientation not in ("columns", "rows"):
         raise ValueError(f"unknown orientation {orientation!r}")
@@ -116,6 +116,8 @@ def load_csv(path, orientation: str = "columns") -> np.ndarray:
                 raise DataError(
                     f"{path}: non-numeric cell on line {line_no}"
                 ) from None
+            if not all(map(math.isfinite, parsed)):
+                raise DataError(f"{path}: non-finite cell on line {line_no}")
             if width is None:
                 width = len(parsed)
             elif len(parsed) != width:

@@ -179,8 +179,6 @@ class EdgeClient:
 
         self.estimate = SubspaceEstimate.empty(dim)
         self.blocks_seen = 0
-        self.columns_seen = 0
-        self.short_batches = 0
         self.last_omega: Optional[float] = None
 
         self._buffer = np.zeros((dim, batch_size))
@@ -196,7 +194,6 @@ class EdgeClient:
             raise ValueError("column contains non-finite entries")
         self._buffer[:, self._fill] = y
         self._fill += 1
-        self.columns_seen += 1
         if self._fill == self.batch_size:
             filled = self._fill
             self._fill = 0
@@ -214,8 +211,6 @@ class EdgeClient:
             raise ValueError(
                 f"batch width {width} exceeds configured {self.batch_size}"
             )
-        if width < self.batch_size:
-            self.short_batches += 1
 
         # Every operand is O(d(r + b)) or O(d(b + c)), too small for a BLAS
         # thread team to pay off.

@@ -207,8 +207,8 @@ def depth_error_probe(
     is ((1 + sqrt(2))**(depth + 1) - 1) times the best rank-r residual.
     B is never formed: with (U * S)^T Y = P Sigma Q^T the best rotation sends
     B to (U * S) P Q^T, and ||Y - (U * S) P Q^T||_F is summed block by block.
-    Unlike the cancelling sum in metrics.procrustes_align_error, this reads
-    at most a few hundred eps ||Y||_F on an exact tree.
+    On an exact tree this stays at rounding level, where the cancelling sum
+    ||Y||_F^2 + ||B||_F^2 - 2 nuclear(B^T Y) reads about sqrt(eps) ||Y||_F.
 
     Returns:
         (measured, bound).

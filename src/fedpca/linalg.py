@@ -210,18 +210,6 @@ def _orthonormal_completion(q: np.ndarray, dim: int, count: int) -> np.ndarray:
     return out
 
 
-def singular_values(a) -> np.ndarray:
-    """Full singular spectrum, descending, route-matched to truncated_svd."""
-    m = ensure_matrix(a)
-    d, n = m.shape
-    if n <= DENSE_SVD_MAX_COLS:
-        return np.linalg.svd(m, compute_uv=False)
-    g = m @ m.T if d <= n else m.T @ m
-    accounting.note("singular_values.gram", g.shape)
-    w = np.linalg.eigvalsh(g)
-    return np.sqrt(np.clip(w[::-1], 0.0, None))
-
-
 def economy_qr(a) -> Tuple[np.ndarray, np.ndarray]:
     """Reduced QR of a tall matrix with a non-negative R diagonal.
 

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import _check_orthonormal, ensure_matrix, singular_values
+from .linalg import _check_orthonormal, ensure_matrix
 
 REGISTERED_METRICS = frozenset(
     {
@@ -49,7 +49,7 @@ def residual_rho(y, r: int) -> float:
     m = ensure_matrix(y)
     if not 0 <= r <= min(m.shape):
         raise ValueError(f"r={r} outside [0, {min(m.shape)}]")
-    s = singular_values(m)
+    s = np.linalg.svd(m, compute_uv=False)
     tail = s[r:]
     return float(np.sqrt(np.sum(tail * tail)))
 
@@ -90,40 +90,6 @@ def qa_overlap(v, v_hat, signed: bool = False) -> float:
             raise ValueError(f"{name} is not unit-norm")
     dot = float(a @ b)
     return dot if signed else abs(dot)
-
-
-def subspace_distance(basis_a, basis_b) -> float:
-    """Frobenius distance between the two orthogonal projectors.
-
-    Computed without forming either d x d projector:
-    sqrt(r_a + r_b - 2 ||A^T B||_F^2). Zero iff the spans coincide.
-    """
-    a = np.asarray(basis_a, dtype=np.float64)
-    b = np.asarray(basis_b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[0] != b.shape[0]:
-        raise ValueError("bases must share the ambient dimension")
-    _check_orthonormal(a, max(a.shape[0], 1), "basis")
-    _check_orthonormal(b, max(b.shape[0], 1), "basis")
-    cross = a.T @ b
-    inner = a.shape[1] + b.shape[1] - 2.0 * float(np.sum(cross * cross))
-    return float(np.sqrt(max(inner, 0.0)))
-
-
-def procrustes_align_error(a, b) -> float:
-    """Residual min over square orthogonal W of ||A W - B||_F.
-
-    Solved through the singular values of A^T B:
-    ||A||_F^2 + ||B||_F^2 - 2 * nuclear(A^T B), clipped at zero before the
-    square root.
-    """
-    ma = ensure_matrix(a, "a")
-    mb = ensure_matrix(b, "b")
-    if ma.shape != mb.shape:
-        raise ValueError(f"shapes differ: {ma.shape} vs {mb.shape}")
-    cross = ma.T @ mb
-    nuclear = float(np.sum(np.linalg.svd(cross, compute_uv=False)))
-    sq = float(np.sum(ma * ma)) + float(np.sum(mb * mb)) - 2.0 * nuclear
-    return float(np.sqrt(max(sq, 0.0)))
 
 
 @dataclass(frozen=True)

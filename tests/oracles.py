@@ -4,9 +4,9 @@ Nothing here calls back into the package's kernels: the SVD oracle is a
 one-sided Jacobi iteration, the merge oracle takes numpy's SVD of the
 explicit concatenation the merge never forms, the noise-scale oracles run
 in 60-digit arithmetic, the subspace-distance oracle forms the full
-projectors the library deliberately avoids, and the interleavings give
-observation orders across clients that a federation's result must not
-depend on.
+projectors the library deliberately avoids, the Procrustes oracles align
+explicit matrices, and the interleavings give observation orders across
+clients that a federation's result must not depend on.
 """
 
 from __future__ import annotations
@@ -100,6 +100,23 @@ def projector_distance(u1, u2) -> float:
     p1 = u1 @ u1.T
     p2 = u2 @ u2.T
     return float(np.linalg.norm(p1 - p2, "fro"))
+
+
+def procrustes_align_error(a, b) -> float:
+    """Residual min over square orthogonal W of ||A W - B||_F.
+
+    Solved through the singular values of A^T B:
+    ||A||_F^2 + ||B||_F^2 - 2 * nuclear(A^T B), clipped at zero before the
+    square root. The terms cancel, so an exact alignment reads about
+    sqrt(eps) ||A||_F rather than zero.
+    """
+    ma = np.asarray(a, dtype=np.float64)
+    mb = np.asarray(b, dtype=np.float64)
+    if ma.ndim != 2 or ma.shape != mb.shape:
+        raise ValueError(f"shapes differ: {ma.shape} vs {mb.shape}")
+    nuclear = float(np.sum(np.linalg.svd(ma.T @ mb, compute_uv=False)))
+    sq = float(np.sum(ma * ma)) + float(np.sum(mb * mb)) - 2.0 * nuclear
+    return math.sqrt(max(sq, 0.0))
 
 
 def rotation_grid_procrustes(a, b, steps: int = 200000) -> float:

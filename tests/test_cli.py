@@ -7,11 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fedpca import _blas
+from fedpca import _blas, cli
 from fedpca.cli import EPSILON_FLOOR, build_parser, main, resolve_params
 from fedpca.datasets import SynthSpec, load_csv, normalize_unit_ball, synth, synth_gaussian_cov
 from fedpca.federation import FederationConfig, build_tree, depth_error_probe, run_federation
-from fedpca.linalg import singular_values
 from fedpca.privacy import DpConfig
 
 
@@ -44,7 +43,7 @@ class TestSynth:
                 "--out", str(out)])
         x = load_csv(out / "matrix.csv")
         assert x.shape == (4, 12)
-        got = singular_values(x)
+        got = np.linalg.svd(x, compute_uv=False)
         assert np.max(np.abs(got - [1.0, 0.5, 1.0 / 3.0, 0.25])) < 1e-10
         assert (out / "manifest.txt").exists()
         assert (out / "timings.csv").exists()
@@ -152,6 +151,15 @@ class TestRunEdge:
         assert main(["run-edge", "--data", str(bad), "--no-dp",
                      "--out", str(tmp_path / "o")]) == 3
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "1e400"])
+    def test_non_finite_csv_exit_3(self, tmp_path, capsys, cell):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"1,2,3\n4,{cell},6\n")
+        out = tmp_path / "o"
+        assert main(["run-edge", "--data", str(bad), "--no-dp", "--out", str(out)]) == 3
+        assert "non-finite cell on line 2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_data_directory_exit_3(self, tmp_path, capsys):
         assert main(["run-edge", "--data", str(tmp_path), "--no-dp",
                      "--out", str(tmp_path / "o")]) == 3
@@ -223,6 +231,14 @@ class TestRunFederated:
             run_ids |= {r["run_id"] for r in read_metrics(out)}
         assert vals[5] == vals[17]
         assert len(run_ids) == 2  # still hashed into the run identifier
+
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_threads_below_one_exit_2(self, tmp_path, capsys, threads):
+        out = tmp_path / "o"
+        assert main(["run-federated", "--d", "8", "--n", "80", "--leaves", "4", "--no-dp",
+                     "--threads", threads, "--out", str(out)]) == 2
+        assert "threads must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_other_commands_reject_retired_keys(self, tmp_path):
         cfg = tmp_path / "cfg.txt"
@@ -419,6 +435,18 @@ class TestDepthProbe:
                     "--depths", "1,2,3", "--seed", str(seed), "--out", str(out)])
             flags = [float(r["value"]) for r in read_metrics(out, "within_bound")]
             assert flags == [1.0, 1.0, 1.0]
+
+    def test_excess_beyond_rounding_is_flagged(self, tmp_path, monkeypatch):
+        # one part in 1e9 of ||Y||_F above the bound is far past rounding
+        x = synth(SynthSpec(16, 64, 1.0, 0))
+        excess = 1e-9 * float(np.linalg.norm(x))
+        monkeypatch.setattr(cli, "depth_error_probe",
+                            lambda *args: (0.5 + excess, 0.5))
+        out = tmp_path / "d"
+        run_ok(["depth-probe", "--d", "16", "--n", "64", "--rank", "4",
+                "--depths", "1,2", "--seed", "0", "--out", str(out)])
+        flags = [float(r["value"]) for r in read_metrics(out, "within_bound")]
+        assert flags == [0.0, 0.0]
 
     def test_indivisible_leaves_exit_2(self, tmp_path):
         assert main(["depth-probe", "--d", "8", "--n", "100", "--depths", "3",

@@ -15,9 +15,8 @@ from fedpca.federation import (
     run_federation,
 )
 from fedpca.linalg import SubspaceEstimate, subspace_of
-from fedpca.metrics import procrustes_align_error
 from fedpca.privacy import DpConfig, derive_rng
-from oracles import SCHEDULES, interleaving_list, projector_distance
+from oracles import SCHEDULES, interleaving_list, procrustes_align_error, projector_distance
 
 
 def global_matrix(seed, d, n):

@@ -8,7 +8,6 @@ from fedpca.linalg import (
     _fix_signs,
     economy_qr,
     merge,
-    singular_values,
     subspace_of,
     truncated_svd,
 )
@@ -105,10 +104,6 @@ class TestTruncatedSvd:
         a = np.full((3, 3), np.nan)
         with pytest.raises(ValueError):
             truncated_svd(a, 1)
-
-    def test_singular_values_routes_agree(self):
-        a = np.random.default_rng(2).standard_normal((12, 600))
-        assert np.max(np.abs(singular_values(a) - np.linalg.svd(a, compute_uv=False))) < 1e-8
 
 
 class TestEconomyQr:
