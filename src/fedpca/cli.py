@@ -420,8 +420,7 @@ def cmd_depth_probe(params: dict, out_dir: Path, log: MetricLog, timing: MetricL
     small multiple of d eps times the norm it reduces, at most ||Y||_F; the
     bound's tail norm comes from one dense SVD of Y, so by Mirsky's theorem
     it is off by no more. Exact trees (r = d, bound 0) at d = 2 to 200
-    measured up to 4.1 d eps ||Y||_F. A merge whose ranks sum past d can
-    round worse: 27 d eps ||Y||_F at d = 128, n = 256.
+    measured up to 4.1 d eps ||Y||_F.
     """
     meta: list[str] = []
     x = _acquire_data(params, meta)

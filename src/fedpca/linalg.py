@@ -3,9 +3,10 @@
 Everything operates on column-space summaries: a matrix block is reduced to
 an orthonormal basis U (d x r) paired with non-negative singular values, and
 summaries from disjoint column blocks are merged without ever rebuilding the
-original matrix. The merge works in the (r1 + r2)-dimensional coordinate
-frame spanned by the two bases, so its cost is independent of the number of
-columns ever observed.
+original matrix. The merge folds the two scaled bases side by side, one QR
+of the d x (r1 + r2) concatenation and then an SVD of its R factor, so its
+cost is independent of the number of columns ever observed, and it is exact
+when the target rank covers the combined rank.
 """
 
 from __future__ import annotations
@@ -251,14 +252,12 @@ def subspace_of(a, r: Optional[int] = None) -> SubspaceEstimate:
 def merge(s1: SubspaceEstimate, s2: SubspaceEstimate, r: int) -> SubspaceEstimate:
     """Rank-r summary of the column concatenation behind two estimates.
 
-    Computes the leading r singular directions of [U1*S1 | U2*S2] while
-    working only in the combined (r1 + r2)-dimensional frame: the second
-    basis is split into its components inside and orthogonal to span(U1),
-    the concatenation is rewritten over [U1 | Q], and a small dense SVD
-    finishes the job (the thin-SVD update of Brand, Linear Algebra Appl.
-    2006). Exact when r covers the combined rank. This is the package's
-    only merge: a weighted concatenation [w1*U1*S1 | w2*U2*S2] is
-    ``merge(s1.scaled(w1), s2.scaled(w2), r)``.
+    Folds the scaled concatenation A = [U1*S1 | U2*S2], d x (r1 + r2):
+    A = Q R, and the SVD of the small factor R gives the leading r values
+    and, rotated by Q, their directions. When r1 + r2 exceeds d, Q is
+    d x d and the same steps apply. Exact when r covers the combined rank.
+    This is the package's only merge: a weighted concatenation
+    [w1*U1*S1 | w2*U2*S2] is ``merge(s1.scaled(w1), s2.scaled(w2), r)``.
 
     The empty estimate is neutral: merging s with it returns s truncated
     to r.
@@ -272,29 +271,17 @@ def merge(s1: SubspaceEstimate, s2: SubspaceEstimate, r: int) -> SubspaceEstimat
     if s2.rank == 0:
         return s1.truncated(r)
 
-    u1, u2 = s1.basis, s2.basis
-    r1, r2 = s1.rank, s2.rank
-    z = u1.T @ u2
-    proj = u2 - u1 @ z
-    # one reorthogonalization pass keeps Q orthogonal to U1 at working precision
-    proj -= u1 @ (u1.T @ proj)
-    accounting.note("merge.proj", proj.shape)
-    q, rr = np.linalg.qr(proj)
+    a = np.hstack([s1.basis * s1.values, s2.basis * s2.values])
+    accounting.note("merge.concat", a.shape)
+    q, rr = np.linalg.qr(a)
     accounting.note("merge.q", q.shape)
-
-    core = np.zeros((r1 + r2, r1 + r2))
-    core[:r1, :r1] = np.diag(s1.values)
-    core[:r1, r1:] = z * s2.values
-    core[r1:, r1:] = rr * s2.values
-    accounting.note("merge.core", core.shape)
-
-    u_in, vals, _ = np.linalg.svd(core)
-    cutoff = _zero_cutoff(vals, max(s1.dim, r1 + r2))
+    u_in, vals, _ = np.linalg.svd(rr)
+    cutoff = _zero_cutoff(vals, max(a.shape))
     keep = min(r, int(np.sum(vals > cutoff)))
     if keep == 0:
         return SubspaceEstimate.empty(s1.dim)
 
-    basis = np.hstack([u1, q]) @ u_in[:, :keep]
+    basis = q @ u_in[:, :keep]
     accounting.note("merge.basis", basis.shape)
     _fix_signs(basis)
     return SubspaceEstimate(basis, vals[:keep].copy())

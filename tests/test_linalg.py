@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedpca.datasets import synth_gaussian_cov
 from fedpca.linalg import (
     SubspaceEstimate,
     _fix_signs,
@@ -220,6 +221,20 @@ class TestMerge:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             merge(random_estimate(0, 6, 2), random_estimate(0, 7, 2), 2)
+
+    def test_full_rank_tree_with_ranks_past_d(self):
+        # the root merge folds 128 + 128 > d directions, so its QR factor
+        # is d x d; the tree is exact at r = d
+        d, n = 128, 256
+        eps = np.finfo(np.float64).eps
+        for seed in range(5):
+            y = synth_gaussian_cov(d, n, 1.0, seed)
+            leaves = [subspace_of(y[:, i * 64 : (i + 1) * 64], d) for i in range(4)]
+            root = merge(merge(leaves[0], leaves[1], d), merge(leaves[2], leaves[3], d), d)
+            expect = np.linalg.svd(y, compute_uv=False)
+            assert root.rank == d
+            assert np.max(np.abs(root.basis.T @ root.basis - np.eye(d))) <= 4 * d * eps
+            assert np.max(np.abs(root.values - expect)) <= 2 * d * eps * expect[0]
 
 
 class TestMergeVariants:
