@@ -427,8 +427,9 @@ def cmd_depth_probe(params: dict, out_dir: Path, log: MetricLog, timing: MetricL
     d = x.shape[0]
     rank = min(params["rank"], d)
     slack = 8.0 * d * np.finfo(np.float64).eps * float(np.linalg.norm(x))
-    for depth in _parse_list(params["depths"], int):
-        measured, bound = depth_error_probe(x, params["fanout"], depth, rank)
+    depths = _parse_list(params["depths"], int)
+    pairs = depth_error_probe(x, params["fanout"], depths, rank)
+    for depth, (measured, bound) in zip(depths, pairs):
         tags = {"fanout": params["fanout"], "rank": rank}
         log.add("measured_error", measured, t=depth, **tags)
         log.add("error_bound", bound, t=depth, **tags)

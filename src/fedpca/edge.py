@@ -20,7 +20,7 @@ import numpy as np
 
 from . import accounting
 from ._blas import single_thread
-from .linalg import SubspaceEstimate, _orthonormal_completion, ensure_matrix, merge, subspace_of
+from .linalg import SubspaceEstimate, ensure_matrix, merge, subspace_of
 from .privacy import (
     DpConfig,
     PrivacyInfeasibleError,
@@ -75,6 +75,19 @@ def energy_ratio(values, r: int) -> float:
     return float(v[r - 1]) / total
 
 
+def _new_direction(q: np.ndarray) -> np.ndarray:
+    """Unit vector along the first e_i that keeps norm > 1e-6 outside span(q)."""
+    for i in range(q.shape[0]):
+        w = np.zeros(q.shape[0])
+        w[i] = 1.0
+        w -= q @ (q.T @ w)
+        w -= q @ (q.T @ w)
+        nrm = float(np.linalg.norm(w))
+        if nrm > 1e-6:
+            return w / nrm
+    raise ValueError("basis already spans the ambient space")
+
+
 def adjust_rank(est: SubspaceEstimate, bounds: EnergyBounds) -> SubspaceEstimate:
     """Grow or shrink an estimate by one direction based on its energy ratio.
 
@@ -89,7 +102,7 @@ def adjust_rank(est: SubspaceEstimate, bounds: EnergyBounds) -> SubspaceEstimate
     ratio = energy_ratio(est.values, r)
     cap = est.dim if bounds.max_rank is None else min(est.dim, bounds.max_rank)
     if ratio > bounds.upper and r < cap:
-        basis = np.hstack([est.basis, _orthonormal_completion(est.basis, est.dim, 1)])
+        basis = np.column_stack([est.basis, _new_direction(est.basis)])
         values = np.append(est.values, 0.0)
         return SubspaceEstimate(basis, values)
     if ratio < bounds.lower and r > 1:

@@ -196,47 +196,54 @@ def run_federation(
 
 
 def depth_error_probe(
-    y, fanout: int, depth: int, r: int
-) -> tuple[float, float]:
-    """Measured global error of a depth-q lossless-data hierarchy vs its bound.
+    y, fanout: int, depths: Sequence[int], r: int
+) -> list[tuple[float, float]]:
+    """Measured global error of depth-q lossless-data hierarchies vs their bound.
 
-    The matrix is split into fanout**depth equal column blocks, each reduced
-    to a rank-r summary, and the summaries are merged up a full tree. The
-    measured error aligns the root reconstruction B = [U * S | 0], zero-padded
-    to the input width, with the input over the orthogonal group; the bound
-    is ((1 + sqrt(2))**(depth + 1) - 1) times the best rank-r residual.
+    For each depth q, the matrix is split into fanout**q equal column blocks,
+    each reduced to a rank-r summary, and the summaries are merged up a full
+    tree. The measured error aligns the root reconstruction B = [U * S | 0],
+    zero-padded to the input width, with the input over the orthogonal
+    group; the bound is ((1 + sqrt(2))**(q + 1) - 1) times the best rank-r
+    residual, taken from one dense SVD of Y shared by every depth.
     B is never formed: with (U * S)^T Y = P Sigma Q^T the best rotation sends
     B to (U * S) P Q^T, and ||Y - (U * S) P Q^T||_F is summed block by block.
     On an exact tree this stays at rounding level, where the cancelling sum
     ||Y||_F^2 + ||B||_F^2 - 2 nuclear(B^T Y) reads about sqrt(eps) ||Y||_F.
+    Leaves of any width take truncated_svd's one dense SVD, so an exact tree
+    (r = d, bound 0) measures rounding alone.
 
     Returns:
-        (measured, bound).
+        One (measured, bound) pair per depth, in the order given.
     """
     m = ensure_matrix(y)
     d, n = m.shape
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
+    if not depths or min(depths) < 1:
+        raise ValueError("every depth must be at least 1")
     if fanout < 2:
         raise ValueError("fanout must be at least 2")
     if not 1 <= r <= d:
         raise ValueError(f"rank {r} outside [1, {d}]")
-    leaves = fanout**depth
-    if n % leaves != 0:
-        raise ValueError(f"leaf count {leaves} must divide the column count {n}")
-    width = n // leaves
-    summaries = [
-        subspace_of(m[:, i * width : (i + 1) * width], r) for i in range(leaves)
-    ]
-    root = _aggregate_tree(summaries, build_tree(leaves, fanout), r).estimate
+    for leaves in (fanout**depth for depth in depths):
+        if n % leaves != 0:
+            raise ValueError(f"leaf count {leaves} must divide the column count {n}")
+    rho = residual_rho(m, r)
+    pairs = []
+    for depth in depths:
+        leaves = fanout**depth
+        width = n // leaves
+        summaries = [
+            subspace_of(m[:, i * width : (i + 1) * width], r) for i in range(leaves)
+        ]
+        root = _aggregate_tree(summaries, build_tree(leaves, fanout), r).estimate
 
-    scaled = root.basis * root.values
-    p, _, qt = np.linalg.svd(scaled.T @ m, full_matrices=False)
-    aligned = scaled @ p
-    sq = 0.0
-    for lo in range(0, n, width):
-        part = m[:, lo : lo + width] - aligned @ qt[:, lo : lo + width]
-        sq += float(np.einsum("ij,ij->", part, part))
-    measured = math.sqrt(sq)
-    bound = ((1.0 + math.sqrt(2.0)) ** (depth + 1) - 1.0) * residual_rho(m, r)
-    return measured, bound
+        scaled = root.basis * root.values
+        p, _, qt = np.linalg.svd(scaled.T @ m, full_matrices=False)
+        aligned = scaled @ p
+        sq = 0.0
+        for lo in range(0, n, width):
+            part = m[:, lo : lo + width] - aligned @ qt[:, lo : lo + width]
+            sq += float(np.einsum("ij,ij->", part, part))
+        bound = ((1.0 + math.sqrt(2.0)) ** (depth + 1) - 1.0) * rho
+        pairs.append((math.sqrt(sq), bound))
+    return pairs

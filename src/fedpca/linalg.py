@@ -18,10 +18,6 @@ import numpy as np
 
 from . import accounting
 
-# Dense LAPACK SVD is used up to this many columns; beyond it the spectrum
-# is recovered from the Gram matrix of the smaller dimension.
-DENSE_SVD_MAX_COLS = 512
-
 # Orthonormality slack per unit of leading dimension.
 ORTHO_TOL = 1e-10
 
@@ -132,8 +128,8 @@ class SubspaceEstimate:
 def truncated_svd(a, r: int) -> SubspaceEstimate:
     """Leading r left singular vectors and values of a dense matrix.
 
-    Up to DENSE_SVD_MAX_COLS columns this is a full LAPACK SVD truncated to
-    rank r; wider inputs go through the Gram matrix of the smaller dimension.
+    One LAPACK SVD of the whole matrix at every shape, truncated to rank r,
+    so each value is within a small multiple of eps * s_1 of the exact one.
     Column signs follow a fixed convention: the largest-magnitude entry of
     each left vector is positive, ties resolved at the lowest row index.
 
@@ -150,65 +146,12 @@ def truncated_svd(a, r: int) -> SubspaceEstimate:
     if not 1 <= r <= min(d, n):
         raise ValueError(f"r={r} outside [1, {min(d, n)}] for shape {m.shape}")
 
-    if n <= DENSE_SVD_MAX_COLS:
-        u, s, vt = np.linalg.svd(m, full_matrices=False)
-        accounting.note("truncated_svd.left", u.shape)
-        accounting.note("truncated_svd.right", vt.shape)
-        left = u[:, :r].copy()
-        values = s[:r].copy()
-    else:
-        left, values = _gram_leading(m, r)
+    u, s, vt = np.linalg.svd(m, full_matrices=False)
+    accounting.note("truncated_svd.left", u.shape)
+    accounting.note("truncated_svd.right", vt.shape)
+    left = u[:, :r].copy()
     _fix_signs(left)
-    return SubspaceEstimate(left, values)
-
-
-def _gram_leading(m: np.ndarray, r: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Leading left vectors and values via the smaller Gram matrix."""
-    d, n = m.shape
-    if d <= n:
-        g = m @ m.T
-        accounting.note("truncated_svd.gram", g.shape)
-        w, vecs = np.linalg.eigh(g)
-        w = np.sqrt(np.clip(w[::-1], 0.0, None))
-        left = vecs[:, ::-1][:, :r].copy()
-        return left, w[:r].copy()
-
-    g = m.T @ m
-    accounting.note("truncated_svd.gram", g.shape)
-    w, vecs = np.linalg.eigh(g)
-    values = np.sqrt(np.clip(w[::-1], 0.0, None))[:r].copy()
-    vr = vecs[:, ::-1][:, :r]
-    left = m @ vr
-    accounting.note("truncated_svd.left", left.shape)
-    cutoff = _zero_cutoff(values, max(d, n))
-    good = values > cutoff
-    left[:, good] /= values[good]
-    if not np.all(good):
-        left[:, ~good] = _orthonormal_completion(left[:, good], d, int(np.sum(~good)))
-        values[~good] = 0.0
-    return left, values
-
-
-def _orthonormal_completion(q: np.ndarray, dim: int, count: int) -> np.ndarray:
-    """Orthonormal columns spanning directions outside the span of q."""
-    out = np.zeros((dim, count))
-    have = 0
-    for i in range(dim):
-        if have == count:
-            break
-        w = np.zeros(dim)
-        w[i] = 1.0
-        for basis in (q, out[:, :have]):
-            if basis.shape[1]:
-                w -= basis @ (basis.T @ w)
-                w -= basis @ (basis.T @ w)
-        nrm = float(np.linalg.norm(w))
-        if nrm > 1e-6:
-            out[:, have] = w / nrm
-            have += 1
-    if have != count:
-        raise ValueError("could not complete orthonormal basis")
-    return out
+    return SubspaceEstimate(left, s[:r].copy())
 
 
 def economy_qr(a) -> Tuple[np.ndarray, np.ndarray]:

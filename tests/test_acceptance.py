@@ -119,7 +119,7 @@ def test_criterion_4_depth_error_bound():
         spectrum = np.linalg.svd(y, compute_uv=False)
         for depth in (1, 2, 3):
             for r in (4, 8):
-                measured, bound = depth_error_probe(y, fanout=2, depth=depth, r=r)
+                [(measured, bound)] = depth_error_probe(y, fanout=2, depths=[depth], r=r)
                 residual = float(np.sqrt(np.sum(spectrum[r:] ** 2)))
                 closed_form = (growth ** (depth + 1) - 1.0) * residual
                 assert abs(bound - closed_form) <= 1e-12 * closed_form

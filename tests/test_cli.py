@@ -433,7 +433,7 @@ class TestDepthProbe:
                 "--fanout", "2", "--depths", "1,2", "--seed", "0", "--out", str(out)])
         x = synth(SynthSpec(16, 64, 1.0, 0))
         for depth in (1, 2):
-            want_measured, want_bound = depth_error_probe(x, 2, depth, 4)
+            [(want_measured, want_bound)] = depth_error_probe(x, 2, [depth], 4)
             got_m = [float(r["value"]) for r in read_metrics(out, "measured_error")
                      if int(r["t"]) == depth]
             got_b = [float(r["value"]) for r in read_metrics(out, "error_bound")
@@ -445,11 +445,14 @@ class TestDepthProbe:
 
     def test_full_rank_trees_are_within_bound(self, tmp_path):
         # the bound is 0 at r = d, so only rounding separates the two; at
-        # d = 128 the upper merges fold 128 + 128 > d directions
+        # d = 128 the upper merges fold 128 + 128 > d directions, and at
+        # 16 x 2048 the depth-1 leaves are 1024 columns wide with values
+        # falling as i^-4 to 1.5e-5
         runs = [["--d", "5", "--n", "64", "--rank", "5", "--seed", str(seed)]
                 for seed in range(6)]
         runs.append(["--d", "128", "--n", "256", "--rank", "128",
                      "--generator", "gauss", "--seed", "1"])
+        runs.append(["--d", "16", "--n", "2048", "--rank", "16", "--alpha", "4"])
         for i, argv in enumerate(runs):
             out = tmp_path / str(i)
             run_ok(["depth-probe", *argv, "--depths", "1,2,3", "--out", str(out)])
@@ -461,7 +464,7 @@ class TestDepthProbe:
         x = synth(SynthSpec(16, 64, 1.0, 0))
         excess = 1e-9 * float(np.linalg.norm(x))
         monkeypatch.setattr(cli, "depth_error_probe",
-                            lambda *args: (0.5 + excess, 0.5))
+                            lambda y, fanout, depths, r: [(0.5 + excess, 0.5)] * len(depths))
         out = tmp_path / "d"
         run_ok(["depth-probe", "--d", "16", "--n", "64", "--rank", "4",
                 "--depths", "1,2", "--seed", "0", "--out", str(out)])

@@ -237,7 +237,7 @@ class TestDepthErrorProbe:
         rng = np.random.default_rng(8)
         u = np.linalg.qr(rng.standard_normal((12, 3)))[0]
         y = u @ np.diag([9.0, 6.0, 3.0]) @ np.linalg.qr(rng.standard_normal((48, 3)))[0].T
-        measured, bound = depth_error_probe(y, fanout=2, depth=2, r=3)
+        [(measured, bound)] = depth_error_probe(y, fanout=2, depths=[2], r=3)
         assert measured < 1e-8
         assert bound < 1e-8
 
@@ -245,14 +245,14 @@ class TestDepthErrorProbe:
         y = global_matrix(9, 16, 64)
         for depth in (1, 2):
             for r in (3, 8):
-                measured, bound = depth_error_probe(y, fanout=2, depth=depth, r=r)
+                [(measured, bound)] = depth_error_probe(y, fanout=2, depths=[depth], r=r)
                 assert 0 <= measured <= bound
 
     def test_measured_matches_padded_procrustes(self):
         # the oracle forms the zero-padded d x n root that the probe avoids
         for seed, (d, n, depth, r) in enumerate([(9, 64, 2, 3), (6, 40, 1, 2), (12, 96, 3, 5)]):
             y = global_matrix(seed, d, n)
-            measured, _ = depth_error_probe(y, fanout=2, depth=depth, r=r)
+            [(measured, _)] = depth_error_probe(y, fanout=2, depths=[depth], r=r)
             level = [subspace_of(b, r) for b in split_columns(y, 2**depth)]
             while len(level) > 1:
                 level = [aggregate_once(level[i : i + 2], r) for i in range(0, len(level), 2)]
@@ -264,10 +264,10 @@ class TestDepthErrorProbe:
 
     def test_peak_memory_within_twice_the_input(self):
         y = global_matrix(4, 16, 2048)
-        depth_error_probe(y[:, :64], fanout=2, depth=2, r=4)  # first-use imports
+        depth_error_probe(y[:, :64], fanout=2, depths=[2], r=4)  # first-use imports
         tracemalloc.start()
         try:
-            depth_error_probe(y, fanout=2, depth=2, r=4)
+            depth_error_probe(y, fanout=2, depths=[2], r=4)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -275,13 +275,13 @@ class TestDepthErrorProbe:
 
     def test_divisibility_enforced(self):
         with pytest.raises(ValueError):
-            depth_error_probe(np.ones((4, 10)), fanout=2, depth=2, r=2)
+            depth_error_probe(np.ones((4, 10)), fanout=2, depths=[2], r=2)
 
     def test_fanout_five_depth_three(self):
         y = global_matrix(10, 6, 250)
-        measured, bound = depth_error_probe(y, fanout=5, depth=3, r=2)
+        [(measured, bound)] = depth_error_probe(y, fanout=5, depths=[3], r=2)
         assert 0 <= measured <= bound
 
     def test_depth_validation(self):
         with pytest.raises(ValueError):
-            depth_error_probe(np.ones((4, 8)), fanout=2, depth=0, r=2)
+            depth_error_probe(np.ones((4, 8)), fanout=2, depths=[0], r=2)

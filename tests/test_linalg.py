@@ -87,13 +87,16 @@ class TestTruncatedSvd:
         f2 = truncated_svd(a[:, perm], 5)
         assert np.max(np.abs(f1.values - f2.values)) < 1e-12
 
-    def test_gram_route_matches_dense(self):
-        a = np.random.default_rng(21).standard_normal((30, 600))
-        f = truncated_svd(a, 10)  # wide: takes the Gram route
-        s = np.linalg.svd(a, compute_uv=False)
-        assert np.max(np.abs(f.values - s[:10])) < 1e-8
-        u, _, _ = np.linalg.svd(a, full_matrices=False)
-        assert projector_distance(f.basis, u[:, :10]) < 1e-8
+    @pytest.mark.parametrize("d, n", [(16, 2048), (30, 600)])
+    def test_wide_graded_spectrum_to_rounding(self, d, n):
+        # values spread over twelve decades; a Gram spectrum squares that
+        # range and knows the tail only to about sqrt(eps) * s_1
+        rng = np.random.default_rng(21)
+        u = np.linalg.qr(rng.standard_normal((d, d)))[0]
+        v = np.linalg.qr(rng.standard_normal((n, d)))[0]
+        vals = np.logspace(0, -12, d)
+        f = truncated_svd((u * vals) @ v.T, d)
+        assert np.max(np.abs(f.values - vals)) <= d * np.finfo(np.float64).eps * vals[0]
 
     def test_rank_bounds(self):
         with pytest.raises(ValueError):

@@ -40,8 +40,8 @@ class TestResidualRho:
             residual_rho(np.eye(3), 4)
 
     def test_wide_tail_near_sqrt_eps(self):
-        # past 512 columns a Gram-matrix spectrum knows these tail values
-        # only to about sqrt(eps) * s_1
+        # tail values at 3e-8 and 3e-9 of s_1 sit near sqrt(eps) * s_1,
+        # where a Gram-matrix spectrum would know them to no digits
         rng = np.random.default_rng(12)
         u = np.linalg.qr(rng.standard_normal((16, 16)))[0]
         v = np.linalg.qr(rng.standard_normal((2048, 16)))[0]
