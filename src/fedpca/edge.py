@@ -116,9 +116,9 @@ def ssvd(block, est: SubspaceEstimate, r: int) -> SubspaceEstimate:
     This is the client's one fold, used for raw batches and for masked
     covariance slabs alike. An empty estimate is seeded with the block's
     own rank-r truncated SVD. Otherwise the block is reduced to its
-    zero-pruned subspace and merged: :func:`merge` takes one QR of
-    [U*S | U_b*S_b] and an SVD of its R factor, which gives the rank-r SVD
-    of the column concatenation [U*S | block]. An all-zero block reduces to
+    zero-pruned subspace and merged: :func:`merge` takes one thin SVD of
+    [U*S | U_b*S_b], which gives the rank-r SVD of the column
+    concatenation [U*S | block]. An all-zero block reduces to
     the empty estimate, which merge treats as neutral.
     """
     m = ensure_matrix(block, "block")

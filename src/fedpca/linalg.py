@@ -3,10 +3,10 @@
 Everything operates on column-space summaries: a matrix block is reduced to
 an orthonormal basis U (d x r) paired with non-negative singular values, and
 summaries from disjoint column blocks are merged without ever rebuilding the
-original matrix. The merge folds the two scaled bases side by side, one QR
-of the d x (r1 + r2) concatenation and then an SVD of its R factor, so its
-cost is independent of the number of columns ever observed, and it is exact
-when the target rank covers the combined rank.
+original matrix. The merge is one thin SVD of [U1*S1 | U2*S2], the two
+scaled bases side by side in one d x (r1 + r2) array, so its cost is
+independent of the number of columns ever observed, and it is exact when
+the target rank covers the combined rank.
 """
 
 from __future__ import annotations
@@ -40,12 +40,23 @@ def _fix_signs(left: np.ndarray) -> None:
     """Flip columns in place so each column's largest-magnitude entry is positive.
 
     Ties pick the lowest row index (np.argmax convention). An all-zero
-    column is left as it is.
+    column is left as it is. The column max and min decide every column
+    whose largest positive and negative magnitudes differ; only tied
+    columns are searched with argmax. Flipped columns are scaled by -1 one
+    at a time, because a broadcast ``left *= signs`` allocates a numpy
+    iteration buffer of up to 8192 elements, all of left on small factors.
+    (``np.negative(col, out=col)`` is avoided: numpy 2.4 writes wrong
+    entries in place when the column's stride is exactly 8 elements.)
     """
-    peak = np.argmax(np.abs(left), axis=0)
-    flip = left[peak, np.arange(left.shape[1])] < 0
-    if np.any(flip):
-        left[:, flip] = -left[:, flip]
+    top = left.max(axis=0)
+    bottom = -left.min(axis=0)
+    flip = bottom > top
+    tied = np.flatnonzero(bottom == top)
+    if tied.size:
+        peak = np.argmax(np.abs(left[:, tied]), axis=0)
+        flip[tied] = left[peak, tied] < 0
+    for j in np.flatnonzero(flip):
+        left[:, j] *= -1.0
 
 
 def _zero_cutoff(values: np.ndarray, dim_max: int) -> float:
@@ -149,7 +160,7 @@ def truncated_svd(a, r: int) -> SubspaceEstimate:
     u, s, vt = np.linalg.svd(m, full_matrices=False)
     accounting.note("truncated_svd.left", u.shape)
     accounting.note("truncated_svd.right", vt.shape)
-    left = u[:, :r].copy()
+    left = u if r == u.shape[1] else u[:, :r].copy()
     _fix_signs(left)
     return SubspaceEstimate(left, s[:r].copy())
 
@@ -195,10 +206,10 @@ def subspace_of(a, r: Optional[int] = None) -> SubspaceEstimate:
 def merge(s1: SubspaceEstimate, s2: SubspaceEstimate, r: int) -> SubspaceEstimate:
     """Rank-r summary of the column concatenation behind two estimates.
 
-    Folds the scaled concatenation A = [U1*S1 | U2*S2], d x (r1 + r2):
-    A = Q R, and the SVD of the small factor R gives the leading r values
-    and, rotated by Q, their directions. When r1 + r2 exceeds d, Q is
-    d x d and the same steps apply. Exact when r covers the combined rank.
+    One thin SVD of [U1*S1 | U2*S2], the scaled bases written side by
+    side into one d x (r1 + r2) array, gives the leading r values and
+    directions. When r1 + r2 exceeds d, the left factor is d x d and the
+    same steps apply. Exact when r covers the combined rank.
     This is the package's only merge: a weighted concatenation
     [w1*U1*S1 | w2*U2*S2] is ``merge(s1.scaled(w1), s2.scaled(w2), r)``.
 
@@ -214,17 +225,19 @@ def merge(s1: SubspaceEstimate, s2: SubspaceEstimate, r: int) -> SubspaceEstimat
     if s2.rank == 0:
         return s1.truncated(r)
 
-    a = np.hstack([s1.basis * s1.values, s2.basis * s2.values])
+    a = np.empty((s1.dim, s1.rank + s2.rank))
+    np.multiply(s1.basis, s1.values, out=a[:, :s1.rank])
+    np.multiply(s2.basis, s2.values, out=a[:, s1.rank:])
     accounting.note("merge.concat", a.shape)
-    q, rr = np.linalg.qr(a)
-    accounting.note("merge.q", q.shape)
-    u_in, vals, _ = np.linalg.svd(rr)
+    u, vals, _ = np.linalg.svd(a, full_matrices=False)
+    accounting.note("merge.left", u.shape)
     cutoff = _zero_cutoff(vals, max(a.shape))
+    del a  # freed before the basis is copied out of u, so the two never coexist
     keep = min(r, int(np.sum(vals > cutoff)))
     if keep == 0:
         return SubspaceEstimate.empty(s1.dim)
 
-    basis = q @ u_in[:, :keep]
+    basis = u if keep == u.shape[1] else u[:, :keep].copy()
     accounting.note("merge.basis", basis.shape)
     _fix_signs(basis)
     return SubspaceEstimate(basis, vals[:keep].copy())

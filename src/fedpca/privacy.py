@@ -4,7 +4,7 @@ Covariance release works block-wise: the d x d sample covariance of a batch
 is produced c columns at a time, each slab perturbed with an independent
 iid Gaussian mask whose scale follows from the (epsilon, delta) budget, the
 ambient dimension, and the batch width. Nothing here ever holds more than
-one d x c slab at a time.
+two d x c arrays at a time.
 """
 
 from __future__ import annotations
@@ -140,7 +140,9 @@ def masked_cov_blocks(
     For a batch B (d x b), slab k is a d x min(c, d - k c) array covering
     covariance columns [k c, min((k+1) c, d)); it equals
     (1/b) B (B^T)[:, cols] plus a fresh mask. Concatenating all slabs with
-    omega == 0 rebuilds (1/b) B B^T exactly; only one slab is alive at a time.
+    omega == 0 rebuilds (1/b) B B^T exactly. Each product is scaled in
+    place, so besides the slab it builds the generator holds only its mask
+    or the slab it yielded last: two d x c arrays at most.
     """
     m = ensure_matrix(batch, "batch")
     d, b = m.shape
@@ -149,7 +151,8 @@ def masked_cov_blocks(
     inv_b = 1.0 / b
     for lo in range(0, d, c):
         hi = min(lo + c, d)
-        slab = (m @ m[lo:hi, :].T) * inv_b
+        slab = m @ m[lo:hi, :].T
+        slab *= inv_b
         accounting.note("privacy.cov_slab", slab.shape)
         slab += gaussian_mask(d, hi - lo, omega, rng)
         yield slab

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -234,6 +236,43 @@ class TestEdgeClientPlain:
             EdgeClient(dim=4, rank=2, forgetting=0.0)
         with pytest.raises(ValueError):
             EdgeClient(dim=4, rank=2, dp=DpConfig(1.0, 0.1))  # rng missing
+
+
+class TestUpdateMemory:
+    # Python objects and the new estimate's validation temporaries (a d x r
+    # boolean mask, r x r Gram products); no d x (r + b) array fits in it
+    ALLOWANCE = 32 * 1024
+
+    @pytest.mark.parametrize(
+        "d, r, b", [(100, 10, 50), (400, 10, 50), (1000, 5, 20), (60, 10, 50), (300, 20, 100)]
+    )
+    def test_plain_update_peak_is_three_panels_and_a_square(self, d, r, b):
+        """One non-private update allocates at most 8 (3d(r+b) + (r+b)^2) bytes.
+
+        The update makes five arrays that matter, in doubles: the block
+        summary U_b (d b), the concatenation [U*S | U_b*S_b] (d (r+b)), its
+        left factor (d (r+b)), its right factor ((r+b)^2) and the new basis
+        (d r). Even all alive at once they add up to d b + 2d (r+b) + d r +
+        (r+b)^2 = 3d (r+b) + (r+b)^2. (The merge frees the concatenation
+        before it copies the basis, so the peak is about d r below this.)
+        The block's own SVD holds less: d b + b^2. The peak is measured
+        above the update's entry, with the batch and the carried rank-r
+        estimate already allocated.
+        """
+        rng = np.random.default_rng(d + r + b)
+        batches = [rng.standard_normal((d, b)) for _ in range(3)]
+        client = EdgeClient(d, r, batch_size=b)
+        for piece in batches[:2]:  # the carried estimate reaches rank r
+            client.process_batch(piece)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            client.process_batch(batches[2])
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert client.estimate.rank == r
+        assert peak <= 8 * (3 * d * (r + b) + (r + b) ** 2) + self.ALLOWANCE
 
 
 class TestEdgeClientPrivate:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedpca import accounting
 from fedpca.datasets import synth_gaussian_cov
 from fedpca.linalg import (
     SubspaceEstimate,
@@ -48,6 +49,24 @@ class TestFixSigns:
             _fix_signs(left)
             assert np.array_equal(left, want_left)
             assert np.array_equal(np.signbit(left), np.signbit(want_left))
+
+    @pytest.mark.parametrize("d", [2, 8, 30])
+    def test_eight_columns_match_column_loop(self, d):
+        # in-place np.negative on a column view of a C-ordered d x 8 array
+        # writes wrong entries in numpy 2.4; the flips must not depend on it
+        left = np.random.default_rng(d).standard_normal((d, 8))
+        want_left = left.copy()
+        fix_signs_loop(want_left)
+        _fix_signs(left)
+        assert np.array_equal(left, want_left)
+
+    def test_signed_zero_columns_match_column_loop(self):
+        # -0.0 never counts as negative, whichever zero max and min report
+        left = np.array([[0.0, -0.0, -0.0, 0.0], [-0.0, -0.0, 0.0, -1.0]])
+        want_left = left.copy()
+        fix_signs_loop(want_left)
+        _fix_signs(left)
+        assert np.array_equal(np.signbit(left), np.signbit(want_left))
 
 
 class TestTruncatedSvd:
@@ -225,9 +244,16 @@ class TestMerge:
         with pytest.raises(ValueError):
             merge(random_estimate(0, 6, 2), random_estimate(0, 7, 2), 2)
 
+    def test_notes_concatenation_left_factor_and_basis(self):
+        s1, s2 = random_estimate(1, 30, 4), random_estimate(2, 30, 6)
+        with accounting.track() as tracker:
+            merge(s1, s2, 5)
+        assert tracker.total_events == 3
+        assert tracker.by_label == {"merge.concat": 300, "merge.left": 300, "merge.basis": 150}
+
     def test_full_rank_tree_with_ranks_past_d(self):
-        # the root merge folds 128 + 128 > d directions, so its QR factor
-        # is d x d; the tree is exact at r = d
+        # the root merge folds 128 + 128 > d directions, so the left factor
+        # of its SVD is d x d; the tree is exact at r = d
         d, n = 128, 256
         eps = np.finfo(np.float64).eps
         for seed in range(5):

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from collections import deque
 
 import numpy as np
 import pytest
@@ -190,3 +192,26 @@ class TestMaskedCovBlocks:
         gen = masked_cov_blocks(m, 0, 0.1, rng)
         with pytest.raises(ValueError):
             next(gen)
+
+    def test_slabs_are_the_scaled_products_bit_for_bit(self):
+        rng = np.random.default_rng(6)
+        m = rng.standard_normal((9, 13))
+        for k, slab in enumerate(masked_cov_blocks(m, 4, 0.0, rng)):
+            lo, hi = 4 * k, min(4 * k + 4, 9)
+            assert np.array_equal(slab, (m @ m[lo:hi, :].T) * (1.0 / 13))
+
+    def test_generator_holds_at_most_two_slabs(self):
+        # the slab yielded last stays bound until the next product replaces
+        # it; scaling that product in place adds no third d x c array
+        d, c = 400, 64
+        rng = np.random.default_rng(4)
+        m = rng.standard_normal((d, 50))
+        list(masked_cov_blocks(m[:, :2], 1, 0.3, rng))  # first-use imports
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            deque(masked_cov_blocks(m, c, 0.3, rng), maxlen=0)  # drop each slab
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 8 * d * c + 16384
