@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
 from . import accounting
 from ._blas import single_thread
-from .linalg import SubspaceEstimate, ensure_matrix, merge, subspace_of
+from .linalg import SubspaceEstimate, as_matrix, ensure_matrix, merge, subspace_of
 from .privacy import (
     DpConfig,
     PrivacyInfeasibleError,
@@ -214,8 +214,16 @@ class EdgeClient:
             self.process_batch(self._buffer[:, :filled])
 
     def process_batch(self, batch) -> SubspaceEstimate:
-        """Fold one d x w batch (w <= b) into the carried estimate."""
-        m = ensure_matrix(batch, "batch")
+        """Fold one d x w batch (w <= b) into the carried estimate.
+
+        Only the batch's shape is checked here. Its entries are first read
+        by the kernel that uses them, which raises ValueError on a
+        non-finite one: :func:`ssvd` on the plain path, the covariance
+        products in :func:`masked_cov_blocks` on the private one (which also
+        reject entries whose squares overflow). A batch that fails leaves
+        ``estimate``, ``blocks_seen`` and ``last_omega`` unchanged.
+        """
+        m = as_matrix(batch, "batch")
         if m.shape[0] != self.dim:
             raise ValueError(
                 f"batch has {m.shape[0]} rows, expected {self.dim}"
@@ -231,8 +239,9 @@ class EdgeClient:
         with single_thread():
             if self.dp is None:
                 updated = ssvd(m, self.estimate.scaled(self.forgetting), self.rank)
+                omega = None
             else:
-                updated = self._private_update(m, width)
+                updated, omega = self._private_update(m, width)
 
             if self.energy is not None:
                 updated = adjust_rank(updated, self.energy)
@@ -240,10 +249,12 @@ class EdgeClient:
                     self.rank = updated.rank
 
         self.estimate = updated
+        self.last_omega = omega
         self.blocks_seen += 1
         return self.estimate
 
-    def _private_update(self, m: np.ndarray, width: int) -> SubspaceEstimate:
+    def _private_update(self, m: np.ndarray, width: int) -> Tuple[SubspaceEstimate, float]:
+        """The merged estimate and the noise scale its masks were drawn at."""
         if self.dp.omega_floor is not None:
             needed = min_batch_size(self.dp, self.dim, self.dp.omega_floor)
             if width < needed:
@@ -251,15 +262,15 @@ class EdgeClient:
                     f"privacy-infeasible batch: width {width} is below the "
                     f"minimum {needed} for omega_floor={self.dp.omega_floor}"
                 )
-        self.last_omega = omega_streaming(self.dp, self.dim, width)
+        omega = omega_streaming(self.dp, self.dim, width)
 
         local = SubspaceEstimate.empty(self.dim)
-        for slab in masked_cov_blocks(m, self.cov_block_width, self.last_omega, self.rng):
+        for slab in masked_cov_blocks(m, self.cov_block_width, omega, self.rng):
             local = ssvd(slab, local, self.rank)
         if self.rescale_private and local.rank:
             local = SubspaceEstimate(local.basis, np.sqrt(width * local.values))
 
-        return merge(local, self.estimate.scaled(self.forgetting), self.rank)
+        return merge(local, self.estimate.scaled(self.forgetting), self.rank), omega
 
     def finalize(self) -> SubspaceEstimate:
         """Flush any buffered partial batch and return the estimate."""

@@ -12,6 +12,7 @@ the target rank covers the combined rank.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Tuple
 
 import numpy as np
@@ -24,13 +25,23 @@ ORTHO_TOL = 1e-10
 _EPS = np.finfo(np.float64).eps
 
 
-def ensure_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Validate and return a 2-D float64 array with finite entries."""
+def as_matrix(a, name: str = "matrix") -> np.ndarray:
+    """Return a 2-D float64 array with at least one row and column.
+
+    Only the shape is checked; the entries are not read, so a caller that
+    skips :func:`ensure_matrix` must reject non-finite entries itself.
+    """
     m = np.asarray(a, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got ndim={m.ndim}")
     if m.shape[0] < 1 or m.shape[1] < 1:
         raise ValueError(f"{name} must have at least one row and column, got {m.shape}")
+    return m
+
+
+def ensure_matrix(a, name: str = "matrix") -> np.ndarray:
+    """Validate and return a 2-D float64 array with finite entries."""
+    m = as_matrix(a, name)
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{name} contains non-finite entries")
     return m
@@ -99,14 +110,21 @@ class SubspaceEstimate:
             raise ValueError("values length must match basis column count")
         if basis.shape[1] > basis.shape[0]:
             raise ValueError("rank cannot exceed ambient dimension")
+        if not values.size:
+            return
         if not (np.all(np.isfinite(basis)) and np.all(np.isfinite(values))):
             raise ValueError("estimate contains non-finite entries")
-        if values.size and (np.any(values < 0) or np.any(values[:-1] < values[1:])):
+        if np.any(values < 0) or np.any(values[:-1] < values[1:]):
             raise ValueError("values must be non-increasing and non-negative")
         _check_orthonormal(basis, max(basis.shape[0], 1), "basis")
 
     @classmethod
+    @lru_cache(maxsize=128)
     def empty(cls, dim: int) -> "SubspaceEstimate":
+        """The rank-0 estimate in dimension dim, one shared instance per dim.
+
+        Sharing is safe because its arrays hold no elements to mutate.
+        """
         if dim < 1:
             raise ValueError("ambient dimension must be positive")
         return cls(np.zeros((dim, 0)), np.zeros(0))

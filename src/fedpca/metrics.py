@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import _check_orthonormal, ensure_matrix
+from .linalg import _check_orthonormal, as_matrix, ensure_matrix
 
 REGISTERED_METRICS = frozenset(
     {
@@ -63,9 +63,7 @@ def projection_error(y, basis) -> float:
     with n. Any non-finite entry makes ||Y||_F^2 non-finite, so that one
     check stands in for a scan of every entry.
     """
-    m = np.asarray(y, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
-        raise ValueError(f"data must be 2-D with at least one row and column, got {m.shape}")
+    m = as_matrix(y, "data")
     u = np.asarray(basis, dtype=np.float64)
     if u.ndim != 2 or u.shape[0] != m.shape[0]:
         raise ValueError("basis rows must match the data dimension")

@@ -5,6 +5,12 @@ is produced c columns at a time, each slab perturbed with an independent
 iid Gaussian mask whose scale follows from the (epsilon, delta) budget, the
 ambient dimension, and the batch width. Nothing here ever holds more than
 two d x c arrays at a time.
+
+A batch is read once, by the covariance products. Its finiteness is
+checked on each product rather than by a separate scan of the d x b
+entries, which would read the batch a second time and allocate a d x b
+mask: a non-finite entry, or a finite one whose square overflows, always
+leaves a non-finite value in a product (see :func:`masked_cov_blocks`).
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from . import accounting
-from .linalg import ensure_matrix
+from .linalg import as_matrix
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -143,15 +149,29 @@ def masked_cov_blocks(
     omega == 0 rebuilds (1/b) B B^T exactly. Each product is scaled in
     place, so besides the slab it builds the generator holds only its mask
     or the slab it yielded last: two d x c arrays at most.
+
+    Only B's shape is checked up front. Each raw product is checked for
+    finiteness before it is scaled or masked, and a failure raises
+    ValueError before that slab's mask is drawn. The check catches every
+    non-finite entry: one in row j puts B[j, k]^2 into the sum of squares
+    at entry (j, j) of the slab covering column j. That factor is never
+    zero, so no BLAS skips it, and the sum of non-negative terms stays
+    non-finite, as it does when finite squares overflow. (With OpenBLAS a
+    non-finite entry also spoils all of row j of the first product, since
+    inf * 0 and nan * 0 are nan; a BLAS that skips zero factors may
+    instead yield earlier slabs before the one covering column j fails.)
     """
-    m = ensure_matrix(batch, "batch")
+    m = as_matrix(batch, "batch")
     d, b = m.shape
     if c < 1:
         raise ValueError(f"block width must be positive, got {c}")
     inv_b = 1.0 / b
     for lo in range(0, d, c):
         hi = min(lo + c, d)
-        slab = m @ m[lo:hi, :].T
+        with np.errstate(over="ignore", invalid="ignore"):
+            slab = m @ m[lo:hi, :].T
+        if not np.isfinite(slab).all():
+            raise ValueError("batch contains non-finite entries or its squares overflow")
         slab *= inv_b
         accounting.note("privacy.cov_slab", slab.shape)
         slab += gaussian_mask(d, hi - lo, omega, rng)

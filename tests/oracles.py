@@ -5,8 +5,9 @@ one-sided Jacobi iteration, the merge oracle takes numpy's SVD of the
 explicit concatenation the merge never forms, the noise-scale oracles run
 in 60-digit arithmetic, the subspace-distance oracle forms the full
 projectors the library deliberately avoids, the Procrustes oracles align
-explicit matrices, and the interleavings give observation orders across
-clients that a federation's result must not depend on.
+explicit matrices, the interleavings give observation orders across
+clients that a federation's result must not depend on, and the bad batches
+hold one entry that a finiteness check must catch.
 """
 
 from __future__ import annotations
@@ -247,3 +248,21 @@ def interleaving_list(lengths, schedule: str, seed: int) -> list:
             order.extend([int(i)] * lengths[int(i)])
         return order
     raise ValueError(f"unknown schedule {schedule!r}")
+
+
+# NaN, both infinities, and a finite entry whose square overflows
+BAD_ENTRIES = [np.nan, np.inf, -np.inf, 1e200]
+
+
+def bad_batch(bad: float, d: int, b: int, row: int, clear_rows: int, seed: int) -> np.ndarray:
+    """Gaussian d x b batch with ``bad`` at (row, 0) and zeros above it.
+
+    Rows [0, clear_rows) are zero in column 0, so a covariance slab over
+    those rows meets the bad entry only through products with zero.
+    """
+    if not clear_rows <= row < d:
+        raise ValueError("the bad row must lie below the cleared rows")
+    m = np.random.default_rng(seed).standard_normal((d, b))
+    m[:clear_rows, 0] = 0.0
+    m[row, 0] = bad
+    return m

@@ -6,7 +6,7 @@ import pytest
 from fedpca.edge import EdgeClient, EnergyBounds, adjust_rank, energy_ratio, ssvd
 from fedpca.linalg import SubspaceEstimate, subspace_of, truncated_svd
 from fedpca.privacy import DpConfig, PrivacyInfeasibleError, derive_rng, omega_streaming
-from oracles import projector_distance
+from oracles import BAD_ENTRIES, bad_batch, projector_distance
 
 
 def rank2_batch(rng, d, n, gap=50.0):
@@ -273,6 +273,79 @@ class TestUpdateMemory:
             tracemalloc.stop()
         assert client.estimate.rank == r
         assert peak <= 8 * (3 * d * (r + b) + (r + b) ** 2) + self.ALLOWANCE
+
+
+class TestPrivateUpdateMemory:
+    @pytest.mark.parametrize("d, b, c, r", [(20, 5000, 20, 5), (64, 2000, 16, 8)])
+    def test_private_update_peaks_below_one_batch_mask(self, d, b, c, r):
+        """One private update allocates less than d b bytes.
+
+        That is the size of one boolean mask over the d x b batch, so the
+        update makes no finiteness scan of the batch. What it does allocate
+        is O(d (c + r)): a slab, its mask and the slab's fold. The peak is
+        measured above the update's entry, with the batch and the carried
+        rank-r estimate already allocated.
+        """
+        rng = np.random.default_rng(d + b)
+        batches = [rng.uniform(-1.0, 1.0, (d, b)) for _ in range(3)]
+        client = EdgeClient(
+            d, r, batch_size=b, dp=DpConfig(4.0, 0.1), cov_block_width=c,
+            rng=derive_rng(d, 0),
+        )
+        for piece in batches[:2]:
+            client.process_batch(piece)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            client.process_batch(batches[2])
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert client.estimate.rank == r
+        assert peak < d * b
+
+
+class TestBadBatches:
+    """A batch with a bad entry raises ValueError and changes no client state.
+
+    The first, good batch leaves an estimate and a noise scale; the bad
+    batch is narrower, so its noise scale would differ from the kept one.
+    """
+
+    D, B = 6, 30
+
+    def _client(self, c=None):
+        dp = None if c is None else DpConfig(1.0, 0.1)
+        rng = None if c is None else derive_rng(5, 0)
+        client = EdgeClient(self.D, 2, batch_size=self.B, dp=dp, cov_block_width=c, rng=rng)
+        client.process_batch(np.random.default_rng(0).uniform(-1.0, 1.0, (self.D, self.B)))
+        return client
+
+    @pytest.mark.parametrize("bad", BAD_ENTRIES)
+    @pytest.mark.parametrize("c, clear_rows", [(6, 0), (2, 2)])
+    def test_private_update(self, bad, c, clear_rows):
+        client = self._client(c)
+        est, omega = client.estimate, client.last_omega
+        state = client.rng.bit_generator.state
+        batch = bad_batch(bad, self.D, self.B - 10, row=4, clear_rows=clear_rows, seed=1)
+        with pytest.raises(ValueError, match="non-finite"):
+            client.process_batch(batch)
+        assert client.estimate is est
+        assert client.blocks_seen == 1
+        assert client.last_omega == omega
+        if c == self.D:  # the one slab failed before its mask was drawn
+            assert client.rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_plain_update(self, bad):
+        # a finite 1e200 is a valid plain batch: LAPACK scales it
+        client = self._client()
+        est = client.estimate
+        with pytest.raises(ValueError, match="non-finite"):
+            client.process_batch(bad_batch(bad, self.D, self.B, row=4, clear_rows=0, seed=1))
+        assert client.estimate is est
+        assert client.blocks_seen == 1
+        assert client.last_omega is None
 
 
 class TestEdgeClientPrivate:

@@ -159,6 +159,8 @@ class TestSubspaceEstimate:
     def test_empty_is_valid(self):
         s = SubspaceEstimate.empty(5)
         assert s.rank == 0 and s.dim == 5
+        assert SubspaceEstimate.empty(5) is s
+        assert SubspaceEstimate.empty(6).dim == 6
 
     def test_rejects_non_orthonormal(self):
         with pytest.raises(ValueError):

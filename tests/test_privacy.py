@@ -16,7 +16,7 @@ from fedpca.privacy import (
     omega_symmetric_sulq,
     symmetric_gaussian_mask,
 )
-from oracles import min_batch_size_hp, omega_streaming_hp, omega_symmetric_hp
+from oracles import BAD_ENTRIES, bad_batch, min_batch_size_hp, omega_streaming_hp, omega_symmetric_hp
 
 # 60-digit arithmetic, rounded to double
 OMEGA_STREAM_REF = 0.643618959411308  # eps=0.1 delta=0.05 d=20 n=5000
@@ -199,6 +199,31 @@ class TestMaskedCovBlocks:
         for k, slab in enumerate(masked_cov_blocks(m, 4, 0.0, rng)):
             lo, hi = 4 * k, min(4 * k + 4, 9)
             assert np.array_equal(slab, (m @ m[lo:hi, :].T) * (1.0 / 13))
+
+    @pytest.mark.parametrize("bad", BAD_ENTRIES)
+    def test_bad_entry_fails_the_one_slab(self, bad):
+        # c = d: the product holds the bad entry's square on its diagonal
+        m = bad_batch(bad, d=6, b=30, row=4, clear_rows=0, seed=1)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="non-finite entries or its squares overflow"):
+            next(masked_cov_blocks(m, 6, 0.3, rng))
+        assert rng.bit_generator.state == state  # no mask was drawn
+
+    @pytest.mark.parametrize("bad", BAD_ENTRIES)
+    def test_bad_entry_outside_the_first_slab(self, bad):
+        # row 4 lies in the third slab of width 2, and the first slab's rows
+        # are zero in the bad column. A non-finite entry still spoils the
+        # first product, because nan * 0 and inf * 0 are nan and OpenBLAS,
+        # which numpy's wheels ship, multiplies by zero. A finite 1e200
+        # times zero is zero, so only its own slab, where it is squared, fails.
+        m = bad_batch(bad, d=6, b=30, row=4, clear_rows=2, seed=1)
+        gen = masked_cov_blocks(m, 2, 0.3, np.random.default_rng(0))
+        if np.isfinite(bad):
+            next(gen)
+            next(gen)
+        with pytest.raises(ValueError, match="non-finite entries or its squares overflow"):
+            next(gen)
 
     def test_generator_holds_at_most_two_slabs(self):
         # the slab yielded last stays bound until the next product replaces
