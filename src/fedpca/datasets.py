@@ -15,7 +15,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .linalg import economy_qr, ensure_matrix
+from .linalg import as_matrix, economy_qr, ensure_matrix
 
 
 # Columns shaped per product in synth_gaussian_cov; the generator's only
@@ -132,7 +132,7 @@ def load_csv(path, orientation: str = "columns") -> np.ndarray:
     matrix = np.asarray(rows, dtype=np.float64)
     if orientation == "rows":
         matrix = matrix.T.copy()
-    return ensure_matrix(matrix, str(path))
+    return as_matrix(matrix, str(path))  # every cell was checked as it was parsed
 
 
 def normalize_unit_ball(x) -> Tuple[np.ndarray, float]:
@@ -195,9 +195,10 @@ class StreamPartition:
 
         A share that is a contiguous run of columns (every share under the
         contiguous policy) comes back as a view of the input, others as a
-        copy.
+        copy. Only the shape is checked; the clients that fold the blocks
+        reject a non-finite entry.
         """
-        m = ensure_matrix(x)
+        m = as_matrix(x)
         if m.shape[1] != self.n:
             raise ValueError(f"matrix has {m.shape[1]} columns, expected {self.n}")
         blocks = []

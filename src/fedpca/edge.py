@@ -20,7 +20,7 @@ import numpy as np
 
 from . import accounting
 from ._blas import single_thread
-from .linalg import SubspaceEstimate, as_matrix, ensure_matrix, merge, subspace_of
+from .linalg import SubspaceEstimate, as_matrix, merge, subspace_of
 from .privacy import (
     DpConfig,
     PrivacyInfeasibleError,
@@ -119,9 +119,10 @@ def ssvd(block, est: SubspaceEstimate, r: int) -> SubspaceEstimate:
     zero-pruned subspace and merged: :func:`merge` takes one thin SVD of
     [U*S | U_b*S_b], which gives the rank-r SVD of the column
     concatenation [U*S | block]. An all-zero block reduces to
-    the empty estimate, which merge treats as neutral.
+    the empty estimate, which merge treats as neutral. Only the shape is
+    checked here; :func:`truncated_svd` rejects a non-finite entry.
     """
-    m = ensure_matrix(block, "block")
+    m = as_matrix(block, "block")
     if m.shape[0] != est.dim:
         raise ValueError("block rows do not match estimate dimension")
     if est.rank == 0 or float(np.sum(est.values)) == 0.0:
@@ -200,28 +201,31 @@ class EdgeClient:
         self._fill = 0
 
     def observe(self, column) -> None:
-        """Buffer one column; triggers a batch update when the buffer fills."""
+        """Buffer one column; triggers a batch update when the buffer fills.
+
+        Only the size is checked: a non-finite entry raises ValueError from
+        the fold of its batch, in the b-th call or :meth:`finalize`, which
+        drops the batch and keeps the state as :meth:`process_batch` says.
+        """
         y = np.asarray(column, dtype=np.float64).reshape(-1)
         if y.size != self.dim:
             raise ValueError(f"column has {y.size} entries, expected {self.dim}")
-        if not np.all(np.isfinite(y)):
-            raise ValueError("column contains non-finite entries")
         self._buffer[:, self._fill] = y
         self._fill += 1
         if self._fill == self.batch_size:
-            filled = self._fill
             self._fill = 0
-            self.process_batch(self._buffer[:, :filled])
+            self.process_batch(self._buffer)
 
     def process_batch(self, batch) -> SubspaceEstimate:
         """Fold one d x w batch (w <= b) into the carried estimate.
 
         Only the batch's shape is checked here. Its entries are first read
         by the kernel that uses them, which raises ValueError on a
-        non-finite one: :func:`ssvd` on the plain path, the covariance
-        products in :func:`masked_cov_blocks` on the private one (which also
-        reject entries whose squares overflow). A batch that fails leaves
-        ``estimate``, ``blocks_seen`` and ``last_omega`` unchanged.
+        non-finite one: :func:`truncated_svd` on the plain path, the
+        covariance products in :func:`masked_cov_blocks` on the private one
+        (which also reject entries whose squares overflow). A batch that
+        fails leaves ``estimate``, ``blocks_seen``, ``last_omega`` and, at
+        c = d, the rng unchanged.
         """
         m = as_matrix(batch, "batch")
         if m.shape[0] != self.dim:

@@ -18,7 +18,7 @@ import numpy as np
 
 from ._blas import single_thread
 from .edge import EdgeClient, EnergyBounds
-from .linalg import SubspaceEstimate, ensure_matrix, merge, subspace_of
+from .linalg import SubspaceEstimate, as_matrix, merge, subspace_of
 from .metrics import residual_rho
 from .privacy import DpConfig, derive_rng
 
@@ -158,24 +158,17 @@ def run_federation(
     after round; how observations interleave across clients cannot change
     the result, since each client sees its own columns in the same order.
     With max_workers > 1 the independent leaves run on a thread pool, which
-    is result-identical to the serial path.
+    is result-identical to the serial path. A non-finite entry raises
+    ValueError from the client batch that reads it.
     """
     if len(streams) != tree.leaf_count:
         raise ValueError(f"got {len(streams)} streams for {tree.leaf_count} leaves")
-    mats = []
-    dim = None
-    for i, s in enumerate(streams):
-        m = np.asarray(s, dtype=np.float64)
-        if m.ndim != 2:
-            raise ValueError(f"stream {i} must be 2-D")
-        if m.shape[1] > 0:
-            m = ensure_matrix(m, f"stream {i}")
-        if dim is None:
-            dim = m.shape[0]
-        elif m.shape[0] != dim:
-            raise ValueError("streams disagree on the ambient dimension")
-        mats.append(m)
-    assert dim is not None
+    mats = [np.asarray(s, dtype=np.float64) for s in streams]
+    for i, m in enumerate(mats):
+        if m.ndim != 2 or m.shape[0] != mats[0].shape[0]:
+            raise ValueError(f"stream {i} has shape {m.shape}; streams must be "
+                             "2-D and agree on the ambient dimension")
+    dim = mats[0].shape[0]
 
     clients = [cfg.client(dim, i) for i in range(tree.leaf_count)]
 
@@ -216,7 +209,7 @@ def depth_error_probe(
     Returns:
         One (measured, bound) pair per depth, in the order given.
     """
-    m = ensure_matrix(y)
+    m = as_matrix(y)  # residual_rho reads Y first and rejects a non-finite entry
     d, n = m.shape
     if not depths or min(depths) < 1:
         raise ValueError("every depth must be at least 1")

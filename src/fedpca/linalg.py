@@ -83,7 +83,7 @@ def _check_orthonormal(u: np.ndarray, tol_scale: float, what: str) -> None:
         return
     gram = u.T @ u
     dev = float(np.max(np.abs(gram - np.eye(r))))
-    if dev > ORTHO_TOL * tol_scale:
+    if not dev <= ORTHO_TOL * tol_scale:  # nan or inf for a non-finite entry
         raise ValueError(f"{what} is not column-orthonormal (deviation {dev:.3e})")
 
 
@@ -112,8 +112,8 @@ class SubspaceEstimate:
             raise ValueError("rank cannot exceed ambient dimension")
         if not values.size:
             return
-        if not (np.all(np.isfinite(basis)) and np.all(np.isfinite(values))):
-            raise ValueError("estimate contains non-finite entries")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("estimate contains non-finite values")
         if np.any(values < 0) or np.any(values[:-1] < values[1:]):
             raise ValueError("values must be non-increasing and non-negative")
         _check_orthonormal(basis, max(basis.shape[0], 1), "basis")
@@ -209,9 +209,10 @@ def subspace_of(a, r: Optional[int] = None) -> SubspaceEstimate:
     """Subspace estimate of a matrix block, zero directions pruned.
 
     With r omitted, keeps every direction carrying a nonzero singular value;
-    otherwise at most r of them.
+    otherwise at most r of them. Only the shape is checked here;
+    :func:`truncated_svd` rejects a non-finite entry.
     """
-    m = ensure_matrix(a)
+    m = as_matrix(a)
     d, n = m.shape
     k = min(d, n) if r is None else min(r, d, n)
     if k < 1:

@@ -1,12 +1,16 @@
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from fedpca import linalg
 from fedpca.edge import EdgeClient, EnergyBounds, adjust_rank, energy_ratio, ssvd
 from fedpca.linalg import SubspaceEstimate, subspace_of, truncated_svd
 from fedpca.privacy import DpConfig, PrivacyInfeasibleError, derive_rng, omega_streaming
 from oracles import BAD_ENTRIES, bad_batch, projector_distance
+
+NON_FINITE = [np.nan, np.inf, -np.inf]
 
 
 def rank2_batch(rng, d, n, gap=50.0):
@@ -346,6 +350,85 @@ class TestBadBatches:
         assert client.estimate is est
         assert client.blocks_seen == 1
         assert client.last_omega is None
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("c", [None, 6, 2])
+    @pytest.mark.parametrize("width", [B, B - 10], ids=["bth-observe", "finalize"])
+    def test_observed_column(self, bad, c, width):
+        # observe buffers the bad column unread; the fold of its batch, in
+        # the b-th observe or in finalize, rejects it and drops the batch
+        client = self._client(c)
+        est, omega = client.estimate, client.last_omega
+        state = None if c is None else client.rng.bit_generator.state
+        batch = bad_batch(bad, self.D, width, row=4, clear_rows=0, seed=1)
+        with pytest.raises(ValueError, match="non-finite"):
+            for column in batch[:, ::-1].T:  # the bad column arrives last
+                client.observe(column)
+            client.finalize()
+        assert client.estimate is est
+        assert client.blocks_seen == 1
+        assert client.last_omega == omega
+        if c == self.D:
+            assert client.rng.bit_generator.state == state
+        if c in (None, self.D):
+            # the client then folds exactly as one that never saw the batch
+            fresh = self._client(c)
+            good = np.random.default_rng(2).uniform(-1.0, 1.0, (self.D, 2 * self.B - 7))
+            for target in (client, fresh):
+                for column in good.T:
+                    target.observe(column)
+                target.finalize()
+            assert client.blocks_seen == fresh.blocks_seen == 3
+            assert np.array_equal(client.estimate.basis, fresh.estimate.basis)
+            assert np.array_equal(client.estimate.values, fresh.estimate.values)
+            assert client.last_omega == fresh.last_omega
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("kernel", [
+        lambda m: truncated_svd(m, 2),
+        lambda m: subspace_of(m),
+        lambda m: ssvd(m, SubspaceEstimate.empty(m.shape[0]), 2),
+        lambda m: ssvd(m, truncated_svd(np.eye(m.shape[0]), 2), 2),
+    ], ids=["truncated_svd", "subspace_of", "ssvd-seed", "ssvd-merge"])
+    def test_fold_kernels(self, bad, kernel):
+        with pytest.raises(ValueError, match="non-finite"):
+            kernel(bad_batch(bad, self.D, self.B, row=4, clear_rows=0, seed=1))
+
+
+def count_calls(monkeypatch, owners, name):
+    """Wrap every binding of ``name`` in ``owners``; return the call list."""
+    calls = []
+    original = getattr(owners[0], name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for owner in owners:
+        if getattr(owner, name, None) is original:
+            monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+class TestEntriesReadOnce:
+    """Each entry's value is checked once, by the kernel that reads it."""
+
+    def test_plain_update_checks_its_batch_once(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        client = EdgeClient(12, 3, batch_size=20)
+        client.process_batch(rng.standard_normal((12, 20)))
+        package = [m for n, m in sys.modules.items() if n.split(".")[0] == "fedpca"]
+        calls = count_calls(monkeypatch, [linalg] + package, "ensure_matrix")
+        client.process_batch(rng.standard_normal((12, 20)))
+        assert len(calls) == 1  # truncated_svd, which hands the batch to LAPACK
+
+    def test_observe_reads_no_entry(self, monkeypatch):
+        client = EdgeClient(8, 2, batch_size=50)
+        columns = np.random.default_rng(4).standard_normal((8, 49))
+        calls = count_calls(monkeypatch, [np], "isfinite")
+        for column in columns.T:
+            client.observe(column)
+        assert calls == []
 
 
 class TestEdgeClientPrivate:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fedpca import _blas
+from fedpca.datasets import partition_columns
 from fedpca.edge import EdgeClient, EnergyBounds
 from fedpca.federation import (
     FederationConfig,
@@ -204,6 +205,20 @@ class TestRunFederation:
         )
         assert not np.allclose(a.estimate.values, b.estimate.values)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("max_workers", [None, 2])
+    @pytest.mark.parametrize("col", [0, 47], ids=["full-batch", "partial-batch"])
+    def test_non_finite_entry_raises(self, bad, max_workers, col):
+        # split and run_federation route the entry unread; the leaf's fold
+        # of its batch (column 0) or of its remainder (column 47) rejects it
+        y = global_matrix(8, 6, 96)
+        y[2, col] = bad
+        streams = partition_columns(96, 2).split(y)
+        tree = build_tree(2, 2)
+        with pytest.raises(ValueError, match="non-finite"):
+            run_federation(streams, tree, FederationConfig(rank=2, batch_size=20),
+                           max_workers=max_workers)
+
     def test_stream_count_mismatch(self):
         with pytest.raises(ValueError):
             run_federation(
@@ -281,6 +296,13 @@ class TestDepthErrorProbe:
         y = global_matrix(10, 6, 250)
         [(measured, bound)] = depth_error_probe(y, fanout=5, depths=[3], r=2)
         assert 0 <= measured <= bound
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        y = global_matrix(11, 4, 16)
+        y[1, 9] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            depth_error_probe(y, fanout=2, depths=[1], r=2)
 
     def test_depth_validation(self):
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedpca.linalg import SubspaceEstimate
 from fedpca.metrics import (
     REGISTERED_METRICS,
     MetricLog,
@@ -95,6 +96,17 @@ class TestProjectionError:
             y_bad[3, 17] = bad
             with pytest.raises(ValueError, match="non-finite"):
                 projection_error(y_bad, u[:, :r])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_basis(self, bad):
+        # a nan deviation from orthonormality fails the check, not passes it
+        y = np.random.default_rng(9).standard_normal((5, 30))
+        u = np.linalg.qr(np.random.default_rng(10).standard_normal((5, 2)))[0]
+        u[3, 1] = bad
+        with pytest.raises(ValueError, match="not column-orthonormal"):
+            projection_error(y, u)
+        with pytest.raises(ValueError, match="not column-orthonormal"):
+            SubspaceEstimate(u, np.array([2.0, 1.0]))
 
     def test_matches_elementwise_squares(self):
         rng = np.random.default_rng(6)
