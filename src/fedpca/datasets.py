@@ -8,10 +8,8 @@ deterministic given the seed: the same spec always yields the same bytes.
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
@@ -135,7 +133,7 @@ def load_csv(path, orientation: str = "columns") -> np.ndarray:
     return as_matrix(matrix, str(path))  # every cell was checked as it was parsed
 
 
-def normalize_unit_ball(x) -> Tuple[np.ndarray, float]:
+def normalize_unit_ball(x) -> tuple[np.ndarray, float]:
     """Scale all columns by 1 / max(1, largest column norm).
 
     Returns the scaled matrix and the divisor actually applied, so callers
@@ -161,31 +159,30 @@ def save_matrix_csv(path, x) -> None:
     np.savetxt(path, m, delimiter=",", fmt="%.17g")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StreamPartition:
     """Disjoint, exhaustive assignment of column indices to clients.
 
-    Each client's index tuple is strictly increasing, so per-client column
-    order always follows the original stream.
+    Each share is a strictly increasing int64 index array (8 bytes per
+    column), so per-client column order follows the original stream. Integer
+    sequences are converted; a float or bool share raises ValueError. Arrays
+    have no truth value, so partitions compare by identity.
     """
 
     n: int
-    assignments: tuple[tuple[int, ...], ...]
+    assignments: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        sizes = np.fromiter(map(len, self.assignments), dtype=np.intp,
-                            count=len(self.assignments))
-        flat = np.fromiter(itertools.chain.from_iterable(self.assignments),
-                           dtype=np.int64, count=int(sizes.sum()))
-        steps = np.diff(flat)
-        # the step onto a client's first index may go down
-        starts = np.cumsum(sizes)[:-1]
-        steps[starts[(starts > 0) & (starts < flat.size)] - 1] = 1
-        if np.any(steps <= 0):
+        shares = tuple(map(np.asarray, self.assignments))
+        if any(a.ndim != 1 or (a.size and a.dtype.kind not in "iu") for a in shares):
+            raise ValueError("client indices must be flat sequences of integers")
+        shares = tuple(a.astype(np.int64, copy=False) for a in shares)
+        object.__setattr__(self, "assignments", shares)
+        if any(np.any(np.diff(a) <= 0) for a in shares):
             raise ValueError("client indices must be strictly increasing")
-        if (flat.size and (flat.min() < 0 or flat.max() >= self.n)) or (
-            np.count_nonzero(np.bincount(flat, minlength=self.n)) != self.n
-        ):
+        flat = np.concatenate((np.empty(0, np.int64), *shares))
+        in_range = not flat.size or (flat.min() >= 0 and flat.max() < self.n)
+        if not in_range or np.count_nonzero(np.bincount(flat, minlength=self.n)) != self.n:
             raise ValueError("assignments must partition range(n)")
         if flat.size != self.n:
             raise ValueError("assignments overlap")
@@ -201,15 +198,8 @@ class StreamPartition:
         m = as_matrix(x)
         if m.shape[1] != self.n:
             raise ValueError(f"matrix has {m.shape[1]} columns, expected {self.n}")
-        blocks = []
-        for idx in self.assignments:
-            if not idx:
-                blocks.append(m[:, :0])
-            elif idx[-1] - idx[0] + 1 == len(idx):
-                blocks.append(m[:, idx[0] : idx[-1] + 1])
-            else:
-                blocks.append(m[:, list(idx)])
-        return blocks
+        return [m[:, idx[0] : idx[-1] + 1] if idx.size and idx[-1] - idx[0] + 1 == idx.size
+                else m[:, idx] for idx in self.assignments]
 
 
 def partition_columns(
@@ -230,22 +220,12 @@ def partition_columns(
     if n < 0:
         raise ValueError("n must be non-negative")
     if policy == "contiguous":
-        base, extra = divmod(n, clients)
-        out = []
-        start = 0
-        for i in range(clients):
-            size = base + (1 if i < extra else 0)
-            out.append(tuple(range(start, start + size)))
-            start += size
-        return StreamPartition(n, tuple(out))
-    if policy == "round_robin":
-        return StreamPartition(
-            n, tuple(tuple(range(i, n, clients)) for i in range(clients))
-        )
-    if policy == "seeded_shuffle":
+        shares = np.array_split(np.arange(n), clients)
+    elif policy == "round_robin":
+        shares = [np.arange(i, n, clients) for i in range(clients)]
+    elif policy == "seeded_shuffle":
         perm = np.random.default_rng(seed).permutation(n)
-        out = [
-            tuple(sorted(int(j) for j in perm[i::clients])) for i in range(clients)
-        ]
-        return StreamPartition(n, tuple(out))
-    raise ValueError(f"unknown policy {policy!r}")
+        shares = [np.sort(perm[i::clients]) for i in range(clients)]
+    else:
+        raise ValueError(f"unknown policy {policy!r}")
+    return StreamPartition(n, tuple(shares))

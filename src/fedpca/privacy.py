@@ -49,8 +49,8 @@ class DpConfig:
     omega_floor: Optional[float] = None
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
         if not 0 < self.delta < 1:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
         if self.omega_floor is not None and not self.omega_floor > 0:
@@ -73,6 +73,15 @@ def _check_dims(d: int, n: int) -> None:
         raise ValueError(f"batch width must be positive, got {n}")
 
 
+def _checked_omega(omega: float, dp: DpConfig, d: int) -> float:
+    if not math.isfinite(omega):
+        raise CalibrationError(
+            f"noise scale is not finite for epsilon={dp.epsilon:.6g}, "
+            f"delta={dp.delta:.6g}, d={d}"
+        )
+    return omega
+
+
 def omega_streaming(dp: DpConfig, d: int, n: int) -> float:
     """Mask standard deviation for non-symmetric per-batch covariance release.
 
@@ -83,7 +92,7 @@ def omega_streaming(dp: DpConfig, d: int, n: int) -> float:
     log_term = _checked_log(d * d / (dp.delta * _SQRT_2PI))
     omega = (4.0 * d / (dp.epsilon * n)) * math.sqrt(2.0 * log_term)
     omega += math.sqrt(2.0) / (math.sqrt(dp.epsilon) * n)
-    return omega
+    return _checked_omega(omega, dp, d)
 
 
 def omega_symmetric_sulq(dp: DpConfig, d: int, n: int) -> float:
@@ -96,7 +105,7 @@ def omega_symmetric_sulq(dp: DpConfig, d: int, n: int) -> float:
     log_term = _checked_log((d * d + d) / (2.0 * dp.delta * _SQRT_2PI))
     omega = ((d + 1.0) / (n * dp.epsilon)) * math.sqrt(2.0 * log_term)
     omega += 1.0 / (n * math.sqrt(dp.epsilon))
-    return omega
+    return _checked_omega(omega, dp, d)
 
 
 def min_batch_size(dp: DpConfig, d: int, omega_floor: float) -> int:

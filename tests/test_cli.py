@@ -192,6 +192,20 @@ class TestRunEdge:
         assert "privacy-infeasible" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--epsilon", "inf", "epsilon must be positive and finite"),
+        ("--epsilon", "1e-320", "noise scale is not finite for epsilon="),
+        ("--delta", "1e-320", "noise scale is not finite for epsilon="),
+    ])
+    def test_budget_without_finite_noise_exit_2(self, tmp_path, capsys, flag, value, message):
+        # epsilon=inf once ran with no noise and recorded the run as private
+        out = tmp_path / "o"
+        assert main(["run-edge", "--d", "8", "--n", "40", "--normalize", "unit-ball",
+                     flag, value, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_failed_run_keeps_an_existing_out(self, tmp_path):
         out = tmp_path / "o"
         out.mkdir()

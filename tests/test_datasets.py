@@ -203,11 +203,11 @@ class TestPartitionColumns:
         p = partition_columns(10, 3, "contiguous")
         sizes = [len(a) for a in p.assignments]
         assert sizes == [4, 3, 3]
-        assert p.assignments[0] == (0, 1, 2, 3)
+        assert p.assignments[0].tolist() == [0, 1, 2, 3]
 
     def test_round_robin(self):
         p = partition_columns(7, 3, "round_robin")
-        assert p.assignments == ((0, 3, 6), (1, 4), (2, 5))
+        assert [a.tolist() for a in p.assignments] == [[0, 3, 6], [1, 4], [2, 5]]
 
     def test_seeded_shuffle_partitions_and_sorts(self):
         p = partition_columns(12, 4, "seeded_shuffle", seed=1)
@@ -215,10 +215,11 @@ class TestPartitionColumns:
         assert all_idx == list(range(12))
         for a in p.assignments:
             assert list(a) == sorted(a)
+        shares = [a.tolist() for a in p.assignments]
         q = partition_columns(12, 4, "seeded_shuffle", seed=1)
-        assert p == q
+        assert [a.tolist() for a in q.assignments] == shares
         r = partition_columns(12, 4, "seeded_shuffle", seed=2)
-        assert r != p
+        assert [a.tolist() for a in r.assignments] != shares
 
     def test_no_client_left_empty_when_enough_columns(self):
         for policy in ("contiguous", "round_robin", "seeded_shuffle"):
@@ -248,7 +249,7 @@ class TestPartitionColumns:
         assert [b.shape[1] for b in blocks] == [3, 0, 1, 6]
         for block, idx in zip(blocks, p.assignments):
             assert np.array_equal(block, y[:, list(idx)])
-            if idx:
+            if len(idx):
                 assert np.shares_memory(block, y)
         for block in partition_columns(10, 3, "contiguous").split(y):
             assert np.shares_memory(block, y)
@@ -272,6 +273,33 @@ class TestPartitionColumns:
             StreamPartition(3, ((-1, 0, 1, 2),))
         with pytest.raises(ValueError, match="overlap"):
             StreamPartition(3, ((0, 1), (1, 2)))
+
+    @pytest.mark.parametrize("share", [(0.5, 1), (0.0, 1.0), (False, True)])
+    def test_partition_rejects_non_integer_indices(self, share):
+        # 0.5 was once truncated to 0, and split then failed on it
+        with pytest.raises(ValueError, match="integers"):
+            StreamPartition(3, (share, (2,)))
+
+    def test_partition_converts_shares_to_int64_arrays(self):
+        # an empty share is valid whatever its dtype; () converts to float64
+        p = StreamPartition(4, ((), [0, 1], np.empty(0), np.array([2, 3], np.int32)))
+        assert all(a.dtype == np.int64 and a.ndim == 1 for a in p.assignments)
+        assert [a.tolist() for a in p.assignments] == [[], [0, 1], [], [2, 3]]
+
+    @pytest.mark.parametrize("policy", ["contiguous", "round_robin", "seeded_shuffle"])
+    def test_partition_holds_eight_bytes_per_column(self, policy):
+        # the fed-private shape; tuples of Python ints held 6.1 MiB here
+        n, clients = 160_000, 32
+        partition_columns(clients, clients, policy)  # loads numpy's lazy imports
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            p = partition_columns(n, clients, policy)
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert held <= 8 * n + 64 * 1024
+        assert len(p.assignments) == clients
 
     def test_partition_validation(self):
         with pytest.raises(ValueError):

@@ -73,6 +73,19 @@ class TestNoiseScales:
         with pytest.raises(CalibrationError):
             omega_symmetric_sulq(DpConfig(0.1, 0.999), 1, 100)
 
+    @pytest.mark.parametrize("fn", [omega_streaming, omega_symmetric_sulq])
+    @pytest.mark.parametrize("eps, delta", [(1e-320, 0.1), (1.0, 1e-320)])
+    def test_overflowing_scale_names_the_budget(self, fn, eps, delta):
+        # once an inf scale that only gaussian_mask rejected, naming no budget
+        with pytest.raises(CalibrationError, match=r"epsilon=.*delta=.*d=8"):
+            fn(DpConfig(eps, delta), 8, 10)
+
+    @pytest.mark.parametrize("eps", [math.inf, math.nan])
+    def test_non_finite_epsilon_rejected(self, eps):
+        # epsilon=inf once gave omega 0: no noise, yet a run recorded as private
+        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+            DpConfig(eps, 0.05)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             DpConfig(0.0, 0.05)
