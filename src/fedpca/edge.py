@@ -196,8 +196,9 @@ class EdgeClient:
         self.blocks_seen = 0
         self.last_omega: Optional[float] = None
 
-        self._buffer = np.zeros((dim, batch_size))
-        accounting.note("edge.buffer", self._buffer.shape)
+        # The d x b column buffer is made by the first observe, so a client
+        # fed only whole batches through process_batch never holds one.
+        self._buffer: Optional[np.ndarray] = None
         self._fill = 0
 
     def observe(self, column) -> None:
@@ -210,6 +211,9 @@ class EdgeClient:
         y = np.asarray(column, dtype=np.float64).reshape(-1)
         if y.size != self.dim:
             raise ValueError(f"column has {y.size} entries, expected {self.dim}")
+        if self._buffer is None:
+            self._buffer = np.zeros((self.dim, self.batch_size))
+            accounting.note("edge.buffer", self._buffer.shape)
         self._buffer[:, self._fill] = y
         self._fill += 1
         if self._fill == self.batch_size:

@@ -82,7 +82,8 @@ def _check_orthonormal(u: np.ndarray, tol_scale: float, what: str) -> None:
     if r == 0:
         return
     gram = u.T @ u
-    dev = float(np.max(np.abs(gram - np.eye(r))))
+    gram.flat[:: r + 1] -= 1.0  # gram - I in place, so the check holds one r x r array
+    dev = float(np.max(np.abs(gram, out=gram)))
     if not dev <= ORTHO_TOL * tol_scale:  # nan or inf for a non-finite entry
         raise ValueError(f"{what} is not column-orthonormal (deviation {dev:.3e})")
 
@@ -234,6 +235,17 @@ def merge(s1: SubspaceEstimate, s2: SubspaceEstimate, r: int) -> SubspaceEstimat
 
     The empty estimate is neutral: merging s with it returns s truncated
     to r.
+
+    At its peak a merge holds the panel and the two factors of its SVD.
+    The panel is filled with ``einsum``, which gives the same bits as a
+    broadcast ``np.multiply`` but, under numpy 2.4, no iteration buffer:
+    the broadcast allocates buffers of up to 8192 elements each, 128 KiB
+    for a 400 x 50 block. The inputs are dropped once they are copied
+    into the panel. From CPython 3.11 on, a Python caller hands its
+    argument references to the callee, so a temporary such as the block
+    summary in ``merge(est, subspace_of(block), r)`` is freed before the
+    SVD; on 3.10 the caller's value stack keeps it alive until the call
+    returns.
     """
     if s1.dim != s2.dim:
         raise ValueError("estimates live in different ambient dimensions")
@@ -244,9 +256,11 @@ def merge(s1: SubspaceEstimate, s2: SubspaceEstimate, r: int) -> SubspaceEstimat
     if s2.rank == 0:
         return s1.truncated(r)
 
-    a = np.empty((s1.dim, s1.rank + s2.rank))
-    np.multiply(s1.basis, s1.values, out=a[:, :s1.rank])
-    np.multiply(s2.basis, s2.values, out=a[:, s1.rank:])
+    d, r1 = s1.dim, s1.rank
+    a = np.empty((d, r1 + s2.rank))
+    np.einsum("ij,j->ij", s1.basis, s1.values, out=a[:, :r1])
+    np.einsum("ij,j->ij", s2.basis, s2.values, out=a[:, r1:])
+    del s1, s2  # a caller's temporary summary is freed before the SVD
     accounting.note("merge.concat", a.shape)
     u, vals, _ = np.linalg.svd(a, full_matrices=False)
     accounting.note("merge.left", u.shape)
@@ -254,7 +268,7 @@ def merge(s1: SubspaceEstimate, s2: SubspaceEstimate, r: int) -> SubspaceEstimat
     del a  # freed before the basis is copied out of u, so the two never coexist
     keep = min(r, int(np.sum(vals > cutoff)))
     if keep == 0:
-        return SubspaceEstimate.empty(s1.dim)
+        return SubspaceEstimate.empty(d)
 
     basis = u if keep == u.shape[1] else u[:, :keep].copy()
     accounting.note("merge.basis", basis.shape)

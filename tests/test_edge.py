@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fedpca import linalg
+from fedpca import accounting, linalg
 from fedpca.edge import EdgeClient, EnergyBounds, adjust_rank, energy_ratio, ssvd
 from fedpca.linalg import SubspaceEstimate, subspace_of, truncated_svd
 from fedpca.privacy import DpConfig, PrivacyInfeasibleError, derive_rng, omega_streaming
@@ -244,24 +244,27 @@ class TestEdgeClientPlain:
 
 class TestUpdateMemory:
     # Python objects and the new estimate's validation temporaries (a d x r
-    # boolean mask, r x r Gram products); no d x (r + b) array fits in it
+    # boolean mask, an r x r Gram product); no d x (r + b) array fits in it
     ALLOWANCE = 32 * 1024
 
     @pytest.mark.parametrize(
-        "d, r, b", [(100, 10, 50), (400, 10, 50), (1000, 5, 20), (60, 10, 50), (300, 20, 100)]
+        "d, r, b",
+        [(100, 10, 50), (400, 10, 50), (1000, 5, 20), (60, 10, 50), (300, 20, 100),
+         (2000, 10, 600)],
     )
     def test_plain_update_peak_is_three_panels_and_a_square(self, d, r, b):
-        """One non-private update allocates at most 8 (3d(r+b) + (r+b)^2) bytes.
+        """One non-private update allocates at most 8 (2d(r+b) + (r+b)^2) bytes.
 
-        The update makes five arrays that matter, in doubles: the block
-        summary U_b (d b), the concatenation [U*S | U_b*S_b] (d (r+b)), its
-        left factor (d (r+b)), its right factor ((r+b)^2) and the new basis
-        (d r). Even all alive at once they add up to d b + 2d (r+b) + d r +
-        (r+b)^2 = 3d (r+b) + (r+b)^2. (The merge frees the concatenation
-        before it copies the basis, so the peak is about d r below this.)
-        The block's own SVD holds less: d b + b^2. The peak is measured
-        above the update's entry, with the batch and the carried rank-r
-        estimate already allocated.
+        At its peak the update holds the panel [U*S | U_b*S_b] (d (r+b)
+        doubles) and the two factors of its SVD: the left one (d (r+b)) and
+        the right one ((r+b)^2). Everything else is freed before the SVD:
+        merge drops the block summary U_b (d b) once it is copied into the
+        panel, and it frees the panel before it copies the new basis (d r)
+        out of the left factor. The block's own SVD holds less: d b + b^2.
+        On CPython 3.10 the caller's value stack keeps the block summary
+        alive through the merge call, so the bound grows by d b there.
+        The peak is measured above the update's entry, with the batch and
+        the carried rank-r estimate already allocated.
         """
         rng = np.random.default_rng(d + r + b)
         batches = [rng.standard_normal((d, b)) for _ in range(3)]
@@ -276,7 +279,38 @@ class TestUpdateMemory:
         finally:
             tracemalloc.stop()
         assert client.estimate.rank == r
-        assert peak <= 8 * (3 * d * (r + b) + (r + b) ** 2) + self.ALLOWANCE
+        summary = d * b if sys.version_info < (3, 11) else 0
+        assert peak <= 8 * (2 * d * (r + b) + (r + b) ** 2 + summary) + self.ALLOWANCE
+
+    def test_batch_fed_client_holds_no_column_buffer(self):
+        """A client fed only through process_batch never makes its d x b buffer.
+
+        Construction and one update leave less than d b doubles allocated:
+        the carried rank-r estimate and Python objects. Only observe needs
+        the column buffer, and the first observe makes it.
+        """
+        d, r, b = 200, 5, 50
+        batch = np.random.default_rng(0).standard_normal((d, b))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            client = EdgeClient(d, r, batch_size=b)
+            client.process_batch(batch)
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert client.estimate.rank == r
+        assert held < 8 * d * b
+
+    def test_first_observe_makes_the_buffer(self):
+        client = EdgeClient(4, 2, batch_size=3)
+        with accounting.track() as tracker:
+            assert client.finalize() is client.estimate  # nothing observed
+            assert client.blocks_seen == 0
+            client.observe(np.ones(4))
+            client.observe(np.arange(4.0))
+        assert tracker.by_label == {"edge.buffer": 12}
+        assert tracker.total_events == 1
 
 
 class TestPrivateUpdateMemory:

@@ -1,3 +1,6 @@
+import sys
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -266,6 +269,71 @@ class TestMerge:
             assert root.rank == d
             assert np.max(np.abs(root.basis.T @ root.basis - np.eye(d))) <= 4 * d * eps
             assert np.max(np.abs(root.values - expect)) <= 2 * d * eps * expect[0]
+
+
+class TestMergePanel:
+    """The panel merge hands to its SVD, and what merge does to its inputs."""
+
+    # (d, rank of s1, rank of s2): r1 + r2 below d, equal to it, and past it
+    SHAPES = [(12, 3, 4), (8, 4, 4), (6, 5, 4), (5, 5, 5)]
+
+    @staticmethod
+    def _pair(d, r1, r2, seed):
+        s1 = subspace_of(np.random.default_rng(seed).standard_normal((d, d)))
+        s2 = subspace_of(np.random.default_rng(seed + 1).standard_normal((d, d)))
+        # leading columns of a full basis: strided views, not copies
+        return s1.truncated(r1), s2.truncated(r2)
+
+    @pytest.mark.parametrize("d, r1, r2", SHAPES)
+    def test_panel_is_the_broadcast_product_bit_for_bit(self, monkeypatch, d, r1, r2):
+        s1, s2 = self._pair(d, r1, r2, d)
+        if r1 < d:
+            assert not s1.basis.flags.c_contiguous
+        panels = []
+        svd = np.linalg.svd
+
+        def spy(a, *args, **kwargs):
+            panels.append(a.copy())
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        merge(s1, s2, min(d, r1 + r2))
+        (panel,) = panels
+        assert np.array_equal(panel, np.hstack([s1.basis * s1.values, s2.basis * s2.values]))
+
+    @pytest.mark.parametrize("d, r1, r2", SHAPES)
+    def test_inputs_unchanged(self, d, r1, r2):
+        s1, s2 = self._pair(d, r1, r2, 3 * d)
+        before = [a.copy() for a in (s1.basis, s1.values, s2.basis, s2.values)]
+        for r in (1, min(d, r1 + r2)):
+            out = merge(s1, s2, r)
+            after = (s1.basis, s1.values, s2.basis, s2.values)
+            assert all(np.array_equal(a, b) for a, b in zip(before, after))
+            assert not any(np.shares_memory(out.basis, a) for a in after)
+
+    @pytest.mark.skipif(
+        sys.version_info < (3, 11),
+        reason="before 3.11 the caller's value stack holds call arguments until the call returns",
+    )
+    def test_temporary_argument_is_freed_before_the_svd(self, monkeypatch):
+        s1 = random_estimate(1, 20, 4)
+        refs = []
+
+        def temporary():
+            s = random_estimate(2, 20, 6)
+            refs.append(weakref.ref(s))
+            return s
+
+        alive = []
+        svd = np.linalg.svd
+
+        def spy(a, *args, **kwargs):
+            alive.append([ref() is not None for ref in refs])
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        merge(s1, temporary(), 8)
+        assert alive[-1] == [False]  # the merge's SVD; the ones before built the argument
 
 
 class TestMergeVariants:
