@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .datasets import (
     DataError,
     StreamPartition,
-    SynthSpec,
     load_csv,
     normalize_unit_ball,
     partition_columns,
@@ -31,7 +30,6 @@ from .federation import (
 )
 from .linalg import (
     SubspaceEstimate,
-    economy_qr,
     merge,
     subspace_of,
     truncated_svd,
@@ -70,13 +68,11 @@ __all__ = [
     "PrivacyInfeasibleError",
     "StreamPartition",
     "SubspaceEstimate",
-    "SynthSpec",
     "adjust_rank",
     "aggregate_once",
     "build_tree",
     "depth_error_probe",
     "derive_rng",
-    "economy_qr",
     "energy_ratio",
     "gaussian_mask",
     "load_csv",

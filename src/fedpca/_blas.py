@@ -4,6 +4,8 @@ A client update or a tree merge factors a d x (r + b) panel or an
 (r + b)-square core. At these sizes OpenBLAS's thread team costs more than
 it saves, so :func:`single_thread` sets the OpenBLAS thread count to 1 for
 the duration of a ``with`` block and puts the caller's count back on exit.
+The ``fedpca`` command runs in one such scope from start to end, so that
+a BLAS product's bits cannot depend on the host's thread count.
 The OpenBLAS that numpy loaded is found through ``/proc/self/maps``; where
 there is none (MKL, Accelerate, other platforms) the scope does nothing.
 
@@ -117,8 +119,8 @@ class single_thread:
 
 
 def describe() -> str:
-    """Manifest note: the OpenBLAS found and the thread count updates use."""
+    """Manifest note: the OpenBLAS found and the thread count a command uses."""
     api = openblas()
     if api is None:
-        return "blas openblas=none update_threads=inherited"
-    return f"blas openblas={api.library} update_threads=1"
+        return "blas openblas=none threads=inherited"
+    return f"blas openblas={api.library} threads=1"

@@ -30,7 +30,6 @@ import numpy as np
 from . import __version__, _blas
 from .datasets import (
     DataError,
-    SynthSpec,
     load_csv,
     normalize_unit_ball,
     partition_columns,
@@ -220,10 +219,9 @@ def _acquire_data(params: dict, meta: list[str]) -> np.ndarray:
     else:
         if params.get("d") is None or params.get("n") is None:
             raise ConfigError("need --data or both --d and --n")
-        if params["generator"] == "svd":
-            x = synth(SynthSpec(params["d"], params["n"], params["alpha"], params["seed"]))
-        else:
-            x = synth_gaussian_cov(params["d"], params["n"], params["alpha"], params["seed"])
+        # per call, not from an import-time table the benchmark's tracer cannot wrap
+        generate = synth if params["generator"] == "svd" else synth_gaussian_cov
+        x = generate(params["d"], params["n"], params["alpha"], params["seed"])
     if params.get("normalize", "none") == "unit-ball":
         x, factor = normalize_unit_ball(x)
         meta.append(f"unit_ball_scale={factor!r}")
@@ -301,7 +299,6 @@ def cmd_run_edge(params: dict, out_dir: Path, log: MetricLog, timing: MetricLog)
     client = _client_config(params, x, meta).client(x.shape[0])
     _log_edge_rows(log, timing, x, client)
     meta.append(f"blocks={client.blocks_seen}")
-    meta.append(_blas.describe())
     return meta
 
 
@@ -327,7 +324,6 @@ def cmd_run_federated(params: dict, out_dir: Path, log: MetricLog, timing: Metri
     counts = ",".join(str(math.ceil(len(a) / params["batch"])) for a in partition.assignments)
     meta.append(f"client_batches={counts}")
     meta.append(f"tree depth={tree.depth} merges={result.merge_count}")
-    meta.append(_blas.describe())
     return meta
 
 
@@ -386,7 +382,7 @@ def cmd_utility_sweep(params: dict, out_dir: Path, log: MetricLog, timing: Metri
                     params["seed"], spawn_key=(ai, rep)
                 ).generate_state(1)[0]
             )
-            x = synth(SynthSpec(d, n, alpha, data_seed))
+            x = synth(d, n, alpha, data_seed)
             norms = np.linalg.norm(x, axis=0)
             if np.min(norms) <= 0:
                 raise DataError("degenerate zero column in sweep data")
@@ -470,10 +466,11 @@ def _execute(command: str, params: dict, out_dir: Path) -> None:
     log = MetricLog(run_id)
     timing = MetricLog(run_id)
     started = time.perf_counter()
-    with warnings.catch_warnings(record=True) as caught:
+    # one BLAS thread throughout, so that no output depends on the thread count
+    with _blas.single_thread(), warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", UserWarning)
         try:
-            meta = COMMANDS[command].run(params, out_dir, log, timing)
+            meta = COMMANDS[command].run(params, out_dir, log, timing) + [_blas.describe()]
         except BaseException:
             # a failed run leaves no empty --out behind; files it wrote stay
             if created and not any(out_dir.iterdir()):

@@ -2,7 +2,7 @@
 
 Samples are columns everywhere inside the package; the CSV loader accepts
 either orientation and transposes on the way in. Generation is fully
-deterministic given the seed: the same spec always yields the same bytes.
+deterministic given the seed: the same arguments always yield the same bytes.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, economy_qr, ensure_matrix
+from .linalg import as_matrix, ensure_matrix
 
 
 # Columns shaped per product in synth_gaussian_cov; the generator's only
@@ -26,37 +26,35 @@ class DataError(ValueError):
     """Raised when an input file cannot be parsed into a matrix."""
 
 
-@dataclass(frozen=True)
-class SynthSpec:
-    """Power-law spectrum test matrix: values i**(-alpha), random factors."""
-
-    d: int
-    n: int
-    alpha: float
-    seed: int
-
-    def __post_init__(self):
-        if self.d < 1 or self.n < 1:
-            raise ValueError(f"shape must be positive, got ({self.d}, {self.n})")
-        if self.alpha < 0:
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
-        if not math.isfinite(self.alpha):
-            raise ValueError("alpha must be finite")
+def _check_synth_args(d: int, n: int, alpha: float) -> None:
+    if d < 1 or n < 1:
+        raise ValueError(f"shape must be positive, got ({d}, {n})")
+    if alpha < 0:
+        raise ValueError(f"alpha must be >= 0, got {alpha}")
+    if not math.isfinite(alpha):
+        raise ValueError("alpha must be finite")
 
 
-def synth(spec: SynthSpec) -> np.ndarray:
+def _orthogonal(draw: np.ndarray) -> np.ndarray:
+    """Q of the reduced QR of a tall draw, signed so that R's diagonal is >= 0."""
+    q, r = np.linalg.qr(draw)
+    return q * np.where(np.diagonal(r) < 0, -1.0, 1.0)
+
+
+def synth(d: int, n: int, alpha: float, seed: int) -> np.ndarray:
     """d x n matrix with singular values exactly i**(-alpha).
 
     Left factors come from the QR of a seeded d x d Gaussian draw, right
     factors from the QR of a seeded Gaussian with min(d, n) columns (the
     economy-size slice of the square draw when n exceeds d). Bit-identical
-    across runs for a fixed spec.
+    across runs for fixed arguments.
     """
-    rng = np.random.default_rng(spec.seed)
-    k = min(spec.d, spec.n)
-    left, _ = economy_qr(rng.standard_normal((spec.d, spec.d)))
-    right, _ = economy_qr(rng.standard_normal((spec.n, k)))
-    values = np.arange(1, k + 1, dtype=np.float64) ** (-spec.alpha)
+    _check_synth_args(d, n, alpha)
+    rng = np.random.default_rng(seed)
+    k = min(d, n)
+    left = _orthogonal(rng.standard_normal((d, d)))
+    right = _orthogonal(rng.standard_normal((n, k)))
+    values = np.arange(1, k + 1, dtype=np.float64) ** (-alpha)
     return (left[:, :k] * values) @ right.T
 
 
@@ -71,9 +69,9 @@ def synth_gaussian_cov(d: int, n: int, alpha: float, seed: int) -> np.ndarray:
     the one-shot product in its last bits where the BLAS picks another
     kernel for a block than for the whole matrix.
     """
-    spec = SynthSpec(d, n, alpha, seed)  # reuse validation
-    rng = np.random.default_rng(spec.seed)
-    basis, _ = economy_qr(rng.standard_normal((d, d)))
+    _check_synth_args(d, n, alpha)
+    rng = np.random.default_rng(seed)
+    basis = _orthogonal(rng.standard_normal((d, d)))
     lam = np.arange(1, d + 1, dtype=np.float64) ** (-alpha)
     shaper = basis * np.sqrt(lam)
     z = rng.standard_normal((d, n))

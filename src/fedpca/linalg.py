@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -182,28 +182,6 @@ def truncated_svd(a, r: int) -> SubspaceEstimate:
     left = u if r == u.shape[1] else u[:, :r].copy()
     _fix_signs(left)
     return SubspaceEstimate(left, s[:r].copy())
-
-
-def economy_qr(a) -> Tuple[np.ndarray, np.ndarray]:
-    """Reduced QR of a tall matrix with a non-negative R diagonal.
-
-    Args:
-        a: d x n matrix, d >= n.
-
-    Returns:
-        (q, r) with q d x n column-orthonormal, r n x n upper triangular,
-        diag(r) >= 0, and q @ r == a to rounding.
-    """
-    m = ensure_matrix(a)
-    d, n = m.shape
-    if d < n:
-        raise ValueError(f"economy_qr expects a tall matrix, got {m.shape}")
-    q, r = np.linalg.qr(m)
-    accounting.note("economy_qr.q", q.shape)
-    signs = np.where(np.diag(r) < 0, -1.0, 1.0)
-    q = q * signs
-    r = r * signs[:, None]
-    return q, r
 
 
 def subspace_of(a, r: Optional[int] = None) -> SubspaceEstimate:

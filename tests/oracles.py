@@ -6,8 +6,9 @@ explicit concatenation the merge never forms, the noise-scale oracles run
 in 60-digit arithmetic, the subspace-distance oracle forms the full
 projectors the library deliberately avoids, the Procrustes oracles align
 explicit matrices, the interleavings give observation orders across
-clients that a federation's result must not depend on, and the bad batches
-hold one entry that a finiteness check must catch.
+clients that a federation's result must not depend on, the bad batches
+hold one entry that a finiteness check must catch, and the reference
+generators fix the bits of the synthetic data.
 """
 
 from __future__ import annotations
@@ -198,6 +199,27 @@ def concat_svd(s1, s2, r: int):
     return u[:, :keep], vals[:keep]
 
 
+def economy_qr(a):
+    """Reduced QR of a tall matrix, signed so that diag(R) >= 0.
+
+    The factor step the synthetic generators were first written with; the
+    generators' bits are pinned to it.
+    """
+    q, r = np.linalg.qr(np.asarray(a, dtype=np.float64))
+    signs = np.where(np.diag(r) < 0, -1.0, 1.0)
+    return q * signs, r * signs[:, None]
+
+
+def synth_reference(d: int, n: int, alpha: float, seed: int) -> np.ndarray:
+    """``datasets.synth`` as first written: U diag(i**-alpha) V^T from seeded QRs."""
+    rng = np.random.default_rng(seed)
+    k = min(d, n)
+    left, _ = economy_qr(rng.standard_normal((d, d)))
+    right, _ = economy_qr(rng.standard_normal((n, k)))
+    values = np.arange(1, k + 1, dtype=np.float64) ** (-alpha)
+    return (left[:, :k] * values) @ right.T
+
+
 def gaussian_cov_factors(d: int, n: int, alpha: float, seed: int):
     """(shaper, z) of the Gaussian generator, from the same seeded draws.
 
@@ -206,10 +228,24 @@ def gaussian_cov_factors(d: int, n: int, alpha: float, seed: int):
     reproduce.
     """
     rng = np.random.default_rng(seed)
-    q, r = np.linalg.qr(rng.standard_normal((d, d)))
-    basis = q * np.where(np.diag(r) < 0, -1.0, 1.0)  # non-negative R diagonal
+    basis, _ = economy_qr(rng.standard_normal((d, d)))
     lam = np.arange(1, d + 1, dtype=np.float64) ** (-alpha)
     return basis * np.sqrt(lam), rng.standard_normal((d, n))
+
+
+def synth_gaussian_cov_reference(d: int, n: int, alpha: float, seed: int) -> np.ndarray:
+    """``datasets.synth_gaussian_cov`` as first written: shaper @ z in blocks.
+
+    Blocks of 1024 columns (its GENERATE_BLOCK), the last one absorbing a
+    remainder under half a block.
+    """
+    shaper, z = gaussian_cov_factors(d, n, alpha, seed)
+    block, lo = 1024, 0
+    while lo < n:
+        hi = n if n - lo < block + block // 2 else lo + block
+        z[:, lo:hi] = shaper @ z[:, lo:hi]
+        lo = hi
+    return z
 
 
 def projection_error_squares(y, basis) -> float:

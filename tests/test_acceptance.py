@@ -23,7 +23,7 @@ import numpy as np
 
 from fedpca import accounting
 from fedpca.cli import main
-from fedpca.datasets import SynthSpec, synth
+from fedpca.datasets import synth
 from fedpca.edge import EdgeClient, EnergyBounds
 from fedpca.federation import (
     FederationConfig,
@@ -115,7 +115,7 @@ def test_criterion_4_depth_error_bound():
     growth = 1.0 + np.sqrt(2.0)
     probes = 0
     for seed in range(5):
-        y = synth(SynthSpec(32, 256, 1.0, seed))
+        y = synth(32, 256, 1.0, seed)
         spectrum = np.linalg.svd(y, compute_uv=False)
         for depth in (1, 2, 3):
             for r in (4, 8):
@@ -191,7 +191,7 @@ def test_criterion_7_rank_adaptive_bracketing():
     budget = time.perf_counter() + 180.0
     d, n, batch = 400, 4000, 50
     for alpha in (0.5, 1.0, 2.0):
-        y = synth(SynthSpec(d, n, alpha, 13))
+        y = synth(d, n, alpha, 13)
         adaptive = EdgeClient(d, 10, batch_size=batch, energy=EnergyBounds())
         visited = []
         for lo in range(0, n, batch):

@@ -38,7 +38,7 @@ def recording(monkeypatch, module, name, api, seen):
 
 def test_discovery_names_the_library(api):
     assert "openblas" in api.library.lower()
-    assert _blas.describe() == f"blas openblas={api.library} update_threads=1"
+    assert _blas.describe() == f"blas openblas={api.library} threads=1"
 
 
 def test_process_batch_runs_pinned_and_restores(api, monkeypatch):
@@ -136,5 +136,5 @@ def test_scope_is_a_noop_without_openblas(api, monkeypatch):
     client.process_batch(np.random.default_rng(0).standard_normal((12, 10)))
     assert seen == [2]
     assert api.get_num_threads() == 2
-    assert _blas.describe() == "blas openblas=none update_threads=inherited"
+    assert _blas.describe() == "blas openblas=none threads=inherited"
 

@@ -2,6 +2,8 @@ import argparse
 import csv
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +11,7 @@ import pytest
 
 from fedpca import _blas, cli
 from fedpca.cli import EPSILON_FLOOR, build_parser, main, resolve_params
-from fedpca.datasets import SynthSpec, load_csv, normalize_unit_ball, synth, synth_gaussian_cov
+from fedpca.datasets import load_csv, normalize_unit_ball, synth, synth_gaussian_cov
 from fedpca.federation import FederationConfig, build_tree, depth_error_probe, run_federation
 from fedpca.privacy import DpConfig
 
@@ -72,7 +74,7 @@ class TestRunEdge:
         run_ok(["run-edge", "--d", "8", "--n", "120", "--rank", "8",
                 "--batch", "30", "--no-dp", "--seed", "3", "--out", str(out)])
         got = [float(r["value"]) for r in read_metrics(out, "global_value")]
-        x = synth(SynthSpec(8, 120, 1.0, 3))
+        x = synth(8, 120, 1.0, 3)
         expect = np.linalg.svd(x, compute_uv=False)
         assert np.max(np.abs(np.array(got) - expect)) < 1e-8
 
@@ -280,7 +282,7 @@ class TestRunFederated:
             out = tmp_path / f"r{len(flag)}"
             run_ok(argv + flag + ["--out", str(out)])
             values[bool(flag)] = [float(r["value"]) for r in read_metrics(out, "global_value")]
-        x, _ = normalize_unit_ball(synth(SynthSpec(8, 80, 1.0, 3)))
+        x, _ = normalize_unit_ball(synth(8, 80, 1.0, 3))
         cfg = FederationConfig(rank=3, batch_size=10, dp=DpConfig(1.0, 0.1),
                                rescale_private=True, seed=3)
         lib = run_federation(np.array_split(x, 4, axis=1), build_tree(4, 2), cfg)
@@ -298,10 +300,15 @@ class TestRunFederated:
 
 
 def test_manifests_record_update_blas_threads(tmp_path):
+    # every command runs on the one BLAS thread its manifest records
     common = ["--d", "6", "--n", "40", "--rank", "2", "--batch", "10", "--no-dp"]
-    for command in ("run-edge", "run-federated"):
-        out = tmp_path / command
-        run_ok([command] + common + ["--out", str(out)])
+    for argv in (["run-edge"] + common, ["run-federated"] + common,
+                 ["synth", "--d", "6", "--n", "40"],
+                 ["depth-probe", "--d", "6", "--n", "32", "--rank", "2", "--depths", "1"],
+                 ["utility-sweep", "--d", "4", "--n", "40", "--rank", "1", "--alphas", "1",
+                  "--epsilons", "1", "--reps", "1"]):
+        out = tmp_path / argv[0]
+        run_ok(argv + ["--out", str(out)])
         lines = (out / "manifest.txt").read_text().splitlines()
         assert [ln for ln in lines if ln.startswith("# blas ")] == [f"# {_blas.describe()}"]
 
@@ -348,6 +355,24 @@ class TestReplay:
                 assert abs(float(a[3]) - float(b[3])) <= 64 * np.finfo(np.float64).eps * s1
             else:
                 assert line_a == line_b
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="OpenBLAS caps its threads at the CPU count")
+    def test_replay_at_another_blas_thread_count(self, tmp_path):
+        # at d = 256 the generator's products and the error metric take
+        # other kernels at 2 threads than at 1 unless the command pins one
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+
+        def fedpca(threads, *argv):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=path)
+            subprocess.run([sys.executable, "-m", "fedpca.cli", *argv], env=env, check=True,
+                           stdout=subprocess.DEVNULL)
+
+        first, second = tmp_path / "one", tmp_path / "two"
+        fedpca(1, "run-edge", "--d", "256", "--n", "2000", "--rank", "8", "--no-dp",
+               "--out", str(first))
+        fedpca(2, "replay", str(first / "manifest.txt"), "--out", str(second))
+        assert (first / "metrics.csv").read_bytes() == (second / "metrics.csv").read_bytes()
 
     def test_manifest_without_command_exit_2(self, tmp_path):
         stray = tmp_path / "manifest.txt"
@@ -445,7 +470,7 @@ class TestDepthProbe:
         out = tmp_path / "d"
         run_ok(["depth-probe", "--d", "16", "--n", "64", "--rank", "4",
                 "--fanout", "2", "--depths", "1,2", "--seed", "0", "--out", str(out)])
-        x = synth(SynthSpec(16, 64, 1.0, 0))
+        x = synth(16, 64, 1.0, 0)
         for depth in (1, 2):
             [(want_measured, want_bound)] = depth_error_probe(x, 2, [depth], 4)
             got_m = [float(r["value"]) for r in read_metrics(out, "measured_error")
@@ -475,7 +500,7 @@ class TestDepthProbe:
 
     def test_excess_beyond_rounding_is_flagged(self, tmp_path, monkeypatch):
         # one part in 1e9 of ||Y||_F above the bound is far past rounding
-        x = synth(SynthSpec(16, 64, 1.0, 0))
+        x = synth(16, 64, 1.0, 0)
         excess = 1e-9 * float(np.linalg.norm(x))
         monkeypatch.setattr(cli, "depth_error_probe",
                             lambda y, fanout, depths, r: [(0.5 + excess, 0.5)] * len(depths))

@@ -9,7 +9,6 @@ from fedpca.datasets import (
     GENERATE_BLOCK,
     DataError,
     StreamPartition,
-    SynthSpec,
     load_csv,
     normalize_unit_ball,
     partition_columns,
@@ -17,42 +16,63 @@ from fedpca.datasets import (
     synth,
     synth_gaussian_cov,
 )
-from oracles import gaussian_cov_factors
+from oracles import (
+    economy_qr,
+    gaussian_cov_factors,
+    synth_gaussian_cov_reference,
+    synth_reference,
+)
 
 
 class TestSynth:
     def test_spectrum_is_exact_power_law(self):
-        y = synth(SynthSpec(d=3, n=10, alpha=1.0, seed=0))
+        y = synth(3, 10, 1.0, 0)
         got = np.linalg.svd(y, compute_uv=False)
         assert np.max(np.abs(got - [1.0, 0.5, 1.0 / 3.0])) < 1e-10
 
     def test_alpha_zero_is_flat(self):
-        y = synth(SynthSpec(d=4, n=6, alpha=0.0, seed=1))
+        y = synth(4, 6, 0.0, 1)
         assert np.max(np.abs(np.linalg.svd(y, compute_uv=False) - 1.0)) < 1e-10
 
     def test_bit_identical_across_calls(self):
-        a = synth(SynthSpec(d=6, n=20, alpha=0.5, seed=42))
-        b = synth(SynthSpec(d=6, n=20, alpha=0.5, seed=42))
+        a = synth(6, 20, 0.5, 42)
+        b = synth(6, 20, 0.5, 42)
         assert np.array_equal(a, b)
 
     def test_seed_changes_factors_not_spectrum(self):
-        a = synth(SynthSpec(d=5, n=8, alpha=1.0, seed=0))
-        b = synth(SynthSpec(d=5, n=8, alpha=1.0, seed=1))
+        a = synth(5, 8, 1.0, 0)
+        b = synth(5, 8, 1.0, 1)
         assert not np.allclose(a, b)
         sa = np.linalg.svd(a, compute_uv=False)
         assert np.max(np.abs(sa - np.linalg.svd(b, compute_uv=False))) < 1e-10
 
     def test_wide_and_tall_shapes(self):
-        assert synth(SynthSpec(d=4, n=9, alpha=1.0, seed=0)).shape == (4, 9)
-        assert synth(SynthSpec(d=9, n=4, alpha=1.0, seed=0)).shape == (9, 4)
+        assert synth(4, 9, 1.0, 0).shape == (4, 9)
+        assert synth(9, 4, 1.0, 0).shape == (9, 4)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            SynthSpec(d=0, n=5, alpha=1.0, seed=0)
-        with pytest.raises(ValueError):
-            SynthSpec(d=5, n=0, alpha=1.0, seed=0)
-        with pytest.raises(ValueError):
-            SynthSpec(d=5, n=5, alpha=-0.5, seed=0)
+        # both generators check their arguments by the same rules
+        for generate in (synth, synth_gaussian_cov):
+            with pytest.raises(ValueError, match=r"shape must be positive, got \(0, 5\)"):
+                generate(0, 5, 1.0, 0)
+            with pytest.raises(ValueError, match=r"shape must be positive, got \(5, 0\)"):
+                generate(5, 0, 1.0, 0)
+            with pytest.raises(ValueError, match="alpha must be >= 0, got -0.5"):
+                generate(5, 5, -0.5, 0)
+            with pytest.raises(ValueError, match="alpha must be finite"):
+                generate(5, 5, float("inf"), 0)
+
+    @pytest.mark.parametrize(
+        "generate, reference",
+        [(synth, synth_reference), (synth_gaussian_cov, synth_gaussian_cov_reference)],
+        ids=["svd", "gauss"],
+    )
+    @pytest.mark.parametrize(
+        "d, n", [(1, 1), (3, 10), (10, 3), (12, 150), (100, 2600), (256, 300)]
+    )
+    def test_bits_match_reference(self, generate, reference, d, n):
+        # (100, 2600) runs three products, one block past 1.5 * GENERATE_BLOCK
+        assert np.array_equal(generate(d, n, 1.0, 5), reference(d, n, 1.0, 5))
 
 
 class TestSynthGaussianCov:
@@ -62,10 +82,7 @@ class TestSynthGaussianCov:
         sample_cov = y @ y.T / n
         lam = np.arange(1, d + 1, dtype=np.float64) ** -1.0
         # rebuild the population covariance from the same seeded basis
-        rng = np.random.default_rng(3)
-        from fedpca.linalg import economy_qr
-
-        basis, _ = economy_qr(rng.standard_normal((d, d)))
+        basis, _ = economy_qr(np.random.default_rng(3).standard_normal((d, d)))
         pop_cov = (basis * lam) @ basis.T
         rel = np.linalg.norm(sample_cov - pop_cov) / np.linalg.norm(pop_cov)
         assert rel < 0.05

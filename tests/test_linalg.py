@@ -11,7 +11,6 @@ from fedpca.datasets import synth_gaussian_cov
 from fedpca.linalg import (
     SubspaceEstimate,
     _fix_signs,
-    economy_qr,
     merge,
     subspace_of,
     truncated_svd,
@@ -130,32 +129,6 @@ class TestTruncatedSvd:
         a = np.full((3, 3), np.nan)
         with pytest.raises(ValueError):
             truncated_svd(a, 1)
-
-
-class TestEconomyQr:
-    def test_column_example(self):
-        q, r = economy_qr(np.array([[3.0], [4.0]]))
-        assert np.allclose(q, [[0.6], [0.8]])
-        assert np.allclose(r, [[5.0]])
-
-    def test_orthonormal_input_fixed_point(self):
-        u = np.linalg.qr(np.random.default_rng(0).standard_normal((6, 3)))[0]
-        # flip to satisfy the positive-diagonal convention first
-        q0, _ = economy_qr(u)
-        q, r = economy_qr(q0)
-        assert np.allclose(q, q0, atol=1e-12)
-        assert np.allclose(r, np.eye(3), atol=1e-12)
-
-    def test_reconstruction_and_signs(self):
-        a = np.random.default_rng(1).standard_normal((8, 3))
-        q, r = economy_qr(a)
-        assert np.max(np.abs(q @ r - a)) < 1e-12
-        assert np.all(np.diag(r) >= 0)
-        assert np.max(np.abs(q.T @ q - np.eye(3))) < 1e-12
-
-    def test_rejects_wide(self):
-        with pytest.raises(ValueError):
-            economy_qr(np.ones((2, 3)))
 
 
 class TestSubspaceEstimate:
