@@ -236,7 +236,7 @@ def _client_config(params: dict, x: np.ndarray, meta: list[str]) -> FederationCo
     dp = None
     if not params["no_dp"]:
         dp = DpConfig(params["epsilon"], params["delta"], params["omega_floor"])
-        norms = np.linalg.norm(x, axis=0)
+        norms = np.sqrt(np.einsum("ij,ij->j", x, x))
         outside = int(np.sum(norms > 1.0))
         if outside:
             meta.append(
@@ -383,7 +383,7 @@ def cmd_utility_sweep(params: dict, out_dir: Path, log: MetricLog, timing: Metri
                 ).generate_state(1)[0]
             )
             x = synth(d, n, alpha, data_seed)
-            norms = np.linalg.norm(x, axis=0)
+            norms = np.sqrt(np.einsum("ij,ij->j", x, x))
             if np.min(norms) <= 0:
                 raise DataError("degenerate zero column in sweep data")
             x = x / norms  # every sample on the unit sphere

@@ -7,8 +7,8 @@ deterministic given the seed: the same arguments always yield the same bytes.
 
 from __future__ import annotations
 
-import csv
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,47 +88,49 @@ def load_csv(path, orientation: str = "columns") -> np.ndarray:
 
     orientation "columns" takes the file as the matrix itself (rows are
     features); "rows" means each CSV row is one sample and the result is
-    transposed. A single non-numeric first row is treated as a header and
-    skipped.
+    transposed. A non-numeric line 1 is a header and is skipped, and so are
+    lines of only commas, quotes and whitespace. A cell may be quoted or
+    padded with spaces; underscores and non-ASCII digits are not numbers.
 
     Raises:
         DataError: empty file, ragged rows, non-numeric or non-finite cells.
     """
     if orientation not in ("columns", "rows"):
         raise ValueError(f"unknown orientation {orientation!r}")
+    line_no = 0  # numpy pulls one line at a time: the line it rejects is the last read
 
-    rows: list[list[float]] = []
-    width = None
-    with open(path, "r", newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        for line_no, record in enumerate(reader, start=1):
-            if not record or all(cell.strip() == "" for cell in record):
-                continue
+    def cell_lines(fh, skip):
+        nonlocal line_no
+        rows = 0
+        for line_no, line in enumerate(fh, start=1):
+            if line_no > skip and re.search(r'[^\s,"]', line):
+                rows += 1
+                yield line
+        if not rows:
+            raise DataError(f"{path}: no numeric rows")
+
+    for skip in (0, 1):  # a non-numeric line 1 is a header: read again without it
+        with open(path, encoding="utf-8-sig") as fh:
             try:
-                parsed = [float(cell) for cell in record]
-            except ValueError:
-                if line_no == 1 and not rows:
-                    continue  # header row
-                raise DataError(
-                    f"{path}: non-numeric cell on line {line_no}"
-                ) from None
-            if not all(map(math.isfinite, parsed)):
-                raise DataError(f"{path}: non-finite cell on line {line_no}")
-            if width is None:
-                width = len(parsed)
-            elif len(parsed) != width:
-                raise DataError(
-                    f"{path}: line {line_no} has {len(parsed)} cells, "
-                    f"expected {width}"
-                )
-            rows.append(parsed)
-    if not rows:
-        raise DataError(f"{path}: no numeric rows")
-
-    matrix = np.asarray(rows, dtype=np.float64)
-    if orientation == "rows":
-        matrix = matrix.T.copy()
-    return as_matrix(matrix, str(path))  # every cell was checked as it was parsed
+                matrix = np.loadtxt(cell_lines(fh, skip), delimiter=",", quotechar='"',
+                                    comments=None, ndmin=2)
+                break
+            except ValueError as exc:
+                if type(exc) is not ValueError:
+                    raise  # no numeric rows, or a decoding error
+                ragged = re.search(r"columns changed from (\d+) to (\d+)", str(exc))
+                if ragged:
+                    raise DataError(f"{path}: line {line_no} has {ragged[2]} cells, "
+                                    f"expected {ragged[1]}") from None
+                if line_no > 1 or skip:
+                    raise DataError(f"{path}: non-numeric cell on line {line_no}") from None
+    finite = np.isfinite(matrix).all(axis=1)
+    if not finite.all():
+        with open(path, encoding="utf-8-sig") as fh:  # read up to the first bad row
+            for _ in zip(range(int(np.argmin(finite)) + 1), cell_lines(fh, skip)):
+                pass
+        raise DataError(f"{path}: non-finite cell on line {line_no}")
+    return matrix.T.copy() if orientation == "rows" else matrix
 
 
 def normalize_unit_ball(x) -> tuple[np.ndarray, float]:
@@ -138,16 +140,19 @@ def normalize_unit_ball(x) -> tuple[np.ndarray, float]:
     can record it. Every column norm of the result is <= 1: where rounding
     leaves the largest one an ulp above 1, the divisor is stepped up to the
     next float until it is not. Never scales up: data already inside the
-    unit ball is returned unchanged with factor 1.
+    unit ball is returned unchanged with factor 1. A non-finite entry makes
+    its column's sum of squares non-finite and raises ValueError.
     """
-    m = ensure_matrix(x)
-    factor = max(1.0, float(np.max(np.linalg.norm(m, axis=0))))
+    m = as_matrix(x)
+    factor = float(np.max(np.sqrt(np.einsum("ij,ij->j", m, m)), initial=1.0))
+    if not math.isfinite(factor):
+        raise ValueError("matrix has a non-finite entry or a column norm past the float range")
     if factor == 1.0:
         return m, 1.0
     scaled = m / factor
-    while float(np.max(np.linalg.norm(scaled, axis=0))) > 1.0:
+    while float(np.max(np.sqrt(np.einsum("ij,ij->j", scaled, scaled)))) > 1.0:
         factor = float(np.nextafter(factor, math.inf))
-        scaled = m / factor
+        np.divide(m, factor, out=scaled)
     return scaled, factor
 
 

@@ -162,6 +162,13 @@ class TestRunEdge:
         assert "non-finite cell on line 2" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("cell", ["1_000", "١"])
+    def test_cell_python_reads_but_numpy_does_not_exit_3(self, tmp_path, capsys, cell):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"1,2,3\n4,{cell},6\n", encoding="utf-8")
+        assert main(["run-edge", "--data", str(bad), "--no-dp", "--out", str(tmp_path / "o")]) == 3
+        assert "non-numeric cell on line 2" in capsys.readouterr().err
+
     def test_data_directory_exit_3(self, tmp_path, capsys):
         assert main(["run-edge", "--data", str(tmp_path), "--no-dp",
                      "--out", str(tmp_path / "o")]) == 3

@@ -140,10 +140,17 @@ class TestCsvRoundTrip:
 
     def test_header_detected_and_skipped(self, tmp_path):
         p = tmp_path / "h.csv"
-        p.write_text("f1,f2,f3\n1.0,2.0,3.0\n4.0,5.0,6.0\n")
-        got = load_csv(p)
-        assert got.shape == (2, 3)
-        assert np.allclose(got[0], [1, 2, 3])
+        for text in (
+            "f1,f2,f3\n1.0,2.0,3.0\n4.0,5.0,6.0\n",
+            "\ufefff1,f2,f3\r\n1.0,2.0,3.0\r\n4.0,5.0,6.0\r\n",  # BOM, header, CRLF
+            '"f1","f2","f3"\n"1.0","2.0",3.0\n4.0, 5.0 ," 6.0"\n',  # quoted and padded cells
+            # blank, whitespace-only, comma-only and empty-quoted lines
+            "f1,f2,f3\n\n   \n,,\n1.0,2.0,3.0\n , ,\t\n\"\",\"\"\n4.0,5.0,6.0\n\n",
+        ):
+            p.write_bytes(text.encode("utf-8"))
+            got = load_csv(p)
+            assert got.shape == (2, 3), text
+            assert np.array_equal(got, [[1, 2, 3], [4, 5, 6]]), text
 
     def test_row_orientation_transposes(self, tmp_path):
         p = tmp_path / "r.csv"
@@ -153,6 +160,7 @@ class TestCsvRoundTrip:
         assert cols.shape == (3, 2)
         assert rows.shape == (2, 3)
         assert np.array_equal(rows, cols.T)
+        assert rows.flags.c_contiguous
 
     def test_unit_ball_normalization(self, tmp_path):
         p = tmp_path / "n.csv"
@@ -163,32 +171,107 @@ class TestCsvRoundTrip:
 
     def test_ragged_rows_rejected_with_line_number(self, tmp_path):
         p = tmp_path / "bad.csv"
-        p.write_text("1,2,3\n4,5\n")
-        with pytest.raises(DataError, match="line 2"):
-            load_csv(p)
+        for text, line in (
+            ("1,2,3\n4,5\n", 2),
+            ("h1,h2,h3\n1,2,3\n\n,,\n4,5\n", 5),
+            ("1,2,3\n" * 3000 + "4,5\n" + "1,2,3\n" * 10, 3001),
+        ):
+            p.write_text(text)
+            with pytest.raises(DataError, match=f"line {line} has 2 cells, expected 3$"):
+                load_csv(p)
 
     def test_non_numeric_cell_rejected(self, tmp_path):
         p = tmp_path / "bad2.csv"
-        p.write_text("1,2\n3,oops\n")
-        with pytest.raises(DataError, match="line 2"):
-            load_csv(p)
+        for text, line in (
+            ("1,2\n3,oops\n", 2),
+            ("\nf1,f2\n1,2\n", 2),  # only line 1 can be a header, not the first line with cells
+            ("1,2\n" * 3000 + "3,oops\n" + "1,2\n" * 10, 3001),
+            # Python's float reads these two cells, numpy's parser does not
+            ("1,2\n3,1_000\n", 2),
+            ("1,2\n3,١\n", 2),
+        ):
+            p.write_text(text, encoding="utf-8")
+            with pytest.raises(DataError, match=f"non-numeric cell on line {line}$"):
+                load_csv(p)
+
+    @pytest.mark.parametrize("orientation", ["columns", "rows"])
+    @pytest.mark.parametrize("cell", ["nan", "-inf", "1e400"])
+    def test_non_finite_cell_reports_its_line(self, tmp_path, cell, orientation):
+        p = tmp_path / "nf.csv"
+        p.write_text(f"a,b\n1,2\n\n \n,,\n3,{cell}\n5,nan\n")
+        with pytest.raises(DataError, match="non-finite cell on line 6$"):
+            load_csv(p, orientation)
 
     def test_empty_file_rejected(self, tmp_path):
         p = tmp_path / "empty.csv"
-        p.write_text("")
-        with pytest.raises(DataError):
-            load_csv(p)
+        for text in ("", "\n \n,,\n"):
+            p.write_text(text)
+            with pytest.raises(DataError, match="no numeric rows"):
+                load_csv(p)
 
     def test_header_only_rejected(self, tmp_path):
         p = tmp_path / "onlyheader.csv"
-        p.write_text("a,b,c\n")
-        with pytest.raises(DataError):
+        for text in ("a,b,c\n", "\ufeffa,b,c\r\n\r\n"):
+            p.write_bytes(text.encode("utf-8"))
+            with pytest.raises(DataError, match="no numeric rows"):
+                load_csv(p)
+
+    def test_undecodable_file_raises_the_decoding_error(self, tmp_path):
+        p = tmp_path / "latin1.csv"
+        p.write_bytes(b"1,2\n\xe9,3\n")
+        with pytest.raises(UnicodeDecodeError):
             load_csv(p)
 
     def test_bom_tolerated(self, tmp_path):
         p = tmp_path / "bom.csv"
         p.write_bytes(b"\xef\xbb\xbf1,2\n3,4\n")
         assert load_csv(p).shape == (2, 2)
+
+    @pytest.mark.parametrize("shape", [(40, 3000), (3000, 40)])
+    @pytest.mark.parametrize("orientation, bound", [("columns", 2.0), ("rows", 2.5)])
+    def test_peak_memory(self, tmp_path, shape, orientation, bound):
+        # a rows file is parsed as n x d and copied once into d x n
+        x = np.random.default_rng(2).standard_normal(shape)
+        p = tmp_path / "m.csv"
+        save_matrix_csv(p, x if orientation == "columns" else x.T)
+        load_csv(p, orientation)  # modules numpy imports on first use
+        tracemalloc.start()
+        try:
+            got = load_csv(p, orientation)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, x)
+        assert peak <= bound * got.nbytes
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 5), st.integers(1, 5)),
+        data=st.data(),
+        header=st.booleans(),
+        blanks=st.lists(st.tuples(st.integers(0, 10), st.sampled_from(["", "  ", ",,", " , ,\t"]))),
+        newline=st.sampled_from(["\n", "\r\n"]),
+        bom=st.booleans(),
+        orientation=st.sampled_from(["columns", "rows"]),
+    )
+    def test_written_matrix_reads_back(self, tmp_path_factory, shape, data, header, blanks,
+                                       newline, bom, orientation):
+        # subnormals, the largest finite values and signed zeros, among others
+        cell = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+            [5e-324, -2.2250738585072014e-308, 1.7976931348623157e308, -1e308, -0.0])
+        x = np.array(data.draw(st.lists(st.lists(cell, min_size=shape[1], max_size=shape[1]),
+                                        min_size=shape[0], max_size=shape[0])))
+        rows = (x if orientation == "columns" else x.T).tolist()
+        lines = [",".join(map(repr, row)) for row in rows]
+        for at, blank in sorted(blanks, reverse=True):
+            lines.insert(min(at, len(lines)), blank)
+        if header:  # line 1 only: a header below a blank line is an error
+            lines.insert(0, ",".join(f"c{j}" for j in range(len(rows[0]))))
+        p = tmp_path_factory.mktemp("round-trip") / "x.csv"
+        p.write_bytes((b"\xef\xbb\xbf" if bom else b"") + newline.join(lines).encode())
+        got = load_csv(p, orientation)
+        assert np.array_equal(got, x)
+        assert got.tobytes() == x.tobytes()  # bit for bit, signed zeros included
 
 
 class TestNormalizeUnitBall:
@@ -213,6 +296,30 @@ class TestNormalizeUnitBall:
         scaled, factor = normalize_unit_ball(x)
         assert factor == 1.0
         assert np.array_equal(scaled, x)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        x = np.ones((3, 4))
+        x[1, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            normalize_unit_ball(x)
+
+    def test_overflowing_norm_rejected(self):
+        # every entry is finite, but the sum of squares is not
+        with pytest.raises(ValueError, match="past the float range"):
+            normalize_unit_ball(np.full((2, 3), 1e200))
+
+    def test_peak_memory_is_its_output(self):
+        x = 3.0 * synth_gaussian_cov(100, 2000, 1.0, 5)
+        normalize_unit_ball(x[:, :2])  # modules numpy imports on first use
+        tracemalloc.start()
+        try:
+            scaled, factor = normalize_unit_ball(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert factor > 1.0
+        assert peak <= 1.1 * scaled.nbytes
 
 
 class TestPartitionColumns:
