@@ -31,11 +31,11 @@ from . import __version__, _blas
 from .datasets import (
     DataError,
     load_csv,
-    normalize_unit_ball,
     partition_columns,
     save_matrix_csv,
     synth,
     synth_gaussian_cov,
+    unit_ball_factor,
 )
 from .edge import EdgeClient, EnergyBounds, energy_ratio
 from .federation import FederationConfig, build_tree, depth_error_probe, run_federation
@@ -120,7 +120,6 @@ PARAMS = {row.name: row for row in (
     Param("fanout", int, 2, "aggregation arity"),
     Param("policy", default="contiguous", help="column partition policy",
           choices=("contiguous", "round_robin", "seeded_shuffle")),
-    Param("threads", int, help="leaf thread pool size (default one per cpu)"),
     Param("alphas", default="0.01,1.0", help="comma-separated decay exponents"),
     Param("epsilons", default="0.1,0.5,1.0,2.0,4.0", help="comma-separated epsilon grid"),
     Param("reps", int, 20, "repetitions per decay exponent"),
@@ -135,7 +134,7 @@ _EDGE = ("rank", "batch", "forgetting", "adaptive", "energy_alpha", "energy_beta
 # Keys that older manifests of a command carry but nothing reads any more. A
 # config file or manifest may hold them; they are written back verbatim, so a
 # replay keeps its run_id.
-RETIRED = {"run-federated": ("schedule", "schedule_seed")}
+RETIRED = {"run-federated": ("schedule", "schedule_seed", "threads")}
 
 
 def _stringify(value) -> str:
@@ -223,7 +222,8 @@ def _acquire_data(params: dict, meta: list[str]) -> np.ndarray:
         generate = synth if params["generator"] == "svd" else synth_gaussian_cov
         x = generate(params["d"], params["n"], params["alpha"], params["seed"])
     if params.get("normalize", "none") == "unit-ball":
-        x, factor = normalize_unit_ball(x)
+        factor = unit_ball_factor(x)  # x is ours: divide it in place, not into a copy
+        x /= factor
         meta.append(f"unit_ball_scale={factor!r}")
     return x
 
@@ -303,8 +303,6 @@ def cmd_run_edge(params: dict, out_dir: Path, log: MetricLog, timing: MetricLog)
 
 
 def cmd_run_federated(params: dict, out_dir: Path, log: MetricLog, timing: MetricLog) -> list[str]:
-    if params["threads"] is not None and params["threads"] < 1:
-        raise ConfigError(f"threads must be at least 1, got {params['threads']}")
     meta: list[str] = []
     x = _acquire_data(params, meta)
     cfg = _client_config(params, x, meta)
@@ -312,8 +310,10 @@ def cmd_run_federated(params: dict, out_dir: Path, log: MetricLog, timing: Metri
     partition = partition_columns(x.shape[1], leaves, params["policy"], params["seed"])
     streams = partition.split(x)
     tree = build_tree(leaves, params["fanout"])
-    threads = (os.cpu_count() or 1) if params["threads"] is None else params["threads"]
-    result = run_federation(streams, tree, cfg, threads)
+    # one leaf task per CPU the process may run on; no worker count changes a value
+    workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
+    result = run_federation(streams, tree, cfg, workers)
     for i, value in enumerate(result.estimate.values):
         log.add("global_value", value, t=i)
     log.add("merge_count", result.merge_count)
@@ -446,7 +446,7 @@ COMMANDS = {
     "run-edge": Command(cmd_run_edge, "stream one client over a matrix", ("seed", *_DATA, *_EDGE)),
     "run-federated": Command(
         cmd_run_federated, "stream M clients and aggregate",
-        ("seed", *_DATA, *_EDGE, "leaves", "fanout", "policy", "threads"),
+        ("seed", *_DATA, *_EDGE, "leaves", "fanout", "policy"),
     ),
     "utility-sweep": Command(
         cmd_utility_sweep, "leading-direction overlap vs epsilon",

@@ -19,6 +19,7 @@ from .linalg import as_matrix, ensure_matrix
 # Columns shaped per product in synth_gaussian_cov; the generator's only
 # temporary is d x GENERATE_BLOCK (under 1.5 times that for the last block).
 # Each product re-packs the d x d shaper, a cost that falls as 1/block.
+# unit_ball_factor checks its scaled column norms in blocks of this width.
 GENERATE_BLOCK = 1024
 
 
@@ -83,6 +84,17 @@ def synth_gaussian_cov(d: int, n: int, alpha: float, seed: int) -> np.ndarray:
     return z
 
 
+def _first_non_utf8_line(path) -> int:
+    """The number of the first line of a file that is not UTF-8 (0 if none)."""
+    with open(path, "rb") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError:
+                return line_no
+    return 0
+
+
 def load_csv(path, orientation: str = "columns") -> np.ndarray:
     """Parse a numeric CSV into a d x n matrix of column samples.
 
@@ -93,7 +105,8 @@ def load_csv(path, orientation: str = "columns") -> np.ndarray:
     padded with spaces; underscores and non-ASCII digits are not numbers.
 
     Raises:
-        DataError: empty file, ragged rows, non-numeric or non-finite cells.
+        DataError: empty file, bytes that are not UTF-8, ragged rows,
+            non-numeric or non-finite cells.
     """
     if orientation not in ("columns", "rows"):
         raise ValueError(f"unknown orientation {orientation!r}")
@@ -115,9 +128,11 @@ def load_csv(path, orientation: str = "columns") -> np.ndarray:
                 matrix = np.loadtxt(cell_lines(fh, skip), delimiter=",", quotechar='"',
                                     comments=None, ndmin=2)
                 break
+            except UnicodeDecodeError:  # decoding runs a chunk ahead of the line read
+                raise DataError(f"{path}: line {_first_non_utf8_line(path)} is not UTF-8") from None
             except ValueError as exc:
                 if type(exc) is not ValueError:
-                    raise  # no numeric rows, or a decoding error
+                    raise  # no numeric rows
                 ragged = re.search(r"columns changed from (\d+) to (\d+)", str(exc))
                 if ragged:
                     raise DataError(f"{path}: line {line_no} has {ragged[2]} cells, "
@@ -133,27 +148,42 @@ def load_csv(path, orientation: str = "columns") -> np.ndarray:
     return matrix.T.copy() if orientation == "rows" else matrix
 
 
+def unit_ball_factor(x) -> float:
+    """The divisor normalize_unit_ball applies to x, found without a scaled copy.
+
+    It starts at max(1, largest column norm) and steps up to the next float
+    while rounding leaves a column of x / factor an ulp above norm 1. The
+    scaled norms are taken GENERATE_BLOCK columns at a time, so the check
+    holds a d x block temporary. A non-finite entry makes its column's sum
+    of squares non-finite and raises ValueError.
+    """
+    m = as_matrix(x)
+    factor = float(np.max(np.sqrt(np.einsum("ij,ij->j", m, m)), initial=1.0))
+    if not math.isfinite(factor):
+        raise ValueError("matrix has a non-finite entry or a column norm past the float range")
+
+    def scaled_norm(lo: int) -> float:  # of the block starting at column lo
+        part = m[:, lo : lo + GENERATE_BLOCK] / factor
+        return float(np.max(np.sqrt(np.einsum("ij,ij->j", part, part))))
+
+    while factor != 1.0 and max(map(scaled_norm, range(0, m.shape[1], GENERATE_BLOCK))) > 1.0:
+        factor = float(np.nextafter(factor, math.inf))
+    return factor
+
+
 def normalize_unit_ball(x) -> tuple[np.ndarray, float]:
     """Scale all columns by 1 / max(1, largest column norm).
 
     Returns the scaled matrix and the divisor actually applied, so callers
     can record it. Every column norm of the result is <= 1: where rounding
     leaves the largest one an ulp above 1, the divisor is stepped up to the
-    next float until it is not. Never scales up: data already inside the
-    unit ball is returned unchanged with factor 1. A non-finite entry makes
-    its column's sum of squares non-finite and raises ValueError.
+    next float until it is not (see unit_ball_factor). Never scales up: data
+    already inside the unit ball is returned unchanged with factor 1. A
+    non-finite entry raises ValueError.
     """
     m = as_matrix(x)
-    factor = float(np.max(np.sqrt(np.einsum("ij,ij->j", m, m)), initial=1.0))
-    if not math.isfinite(factor):
-        raise ValueError("matrix has a non-finite entry or a column norm past the float range")
-    if factor == 1.0:
-        return m, 1.0
-    scaled = m / factor
-    while float(np.max(np.sqrt(np.einsum("ij,ij->j", scaled, scaled)))) > 1.0:
-        factor = float(np.nextafter(factor, math.inf))
-        np.divide(m, factor, out=scaled)
-    return scaled, factor
+    factor = unit_ball_factor(m)
+    return (m if factor == 1.0 else m / factor), factor
 
 
 def save_matrix_csv(path, x) -> None:
@@ -193,16 +223,20 @@ class StreamPartition:
     def split(self, x: np.ndarray) -> list[np.ndarray]:
         """One column block per client.
 
-        A share that is a contiguous run of columns (every share under the
-        contiguous policy) comes back as a view of the input, others as a
-        copy. Only the shape is checked; the clients that fold the blocks
-        reject a non-finite entry.
+        A share of evenly spaced columns (every share under the contiguous
+        and round_robin policies) comes back as a view of the input, with a
+        column stride; others as a copy. Only the shape is checked; the
+        clients that fold the blocks reject a non-finite entry.
         """
         m = as_matrix(x)
         if m.shape[1] != self.n:
             raise ValueError(f"matrix has {m.shape[1]} columns, expected {self.n}")
-        return [m[:, idx[0] : idx[-1] + 1] if idx.size and idx[-1] - idx[0] + 1 == idx.size
-                else m[:, idx] for idx in self.assignments]
+        blocks = []
+        for idx in self.assignments:
+            step = idx[1] - idx[0] if idx.size > 1 else 1
+            even = idx.size and not np.any(np.diff(idx) != step)
+            blocks.append(m[:, idx[0] : idx[-1] + 1 : step] if even else m[:, idx])
+        return blocks
 
 
 def partition_columns(

@@ -154,12 +154,10 @@ def run_federation(
     """Stream every client's columns, then aggregate up the tree.
 
     Each leaf i consumes streams[i] (d x n_i, n_i may be zero) in column
-    order. The serial path feeds one column to each client in turn, round
-    after round; how observations interleave across clients cannot change
-    the result, since each client sees its own columns in the same order.
-    With max_workers > 1 the independent leaves run on a thread pool, which
-    is result-identical to the serial path. A non-finite entry raises
-    ValueError from the client batch that reads it.
+    order: with max_workers None, one column to each client in turn; with
+    k workers, one task per leaf that builds its client, streams it and
+    returns its estimate, k at a time (k = 1: in the calling thread). A
+    non-finite entry raises ValueError from the client batch that reads it.
     """
     if len(streams) != tree.leaf_count:
         raise ValueError(f"got {len(streams)} streams for {tree.leaf_count} leaves")
@@ -168,24 +166,26 @@ def run_federation(
         if m.ndim != 2 or m.shape[0] != mats[0].shape[0]:
             raise ValueError(f"stream {i} has shape {m.shape}; streams must be "
                              "2-D and agree on the ambient dimension")
-    dim = mats[0].shape[0]
 
-    clients = [cfg.client(dim, i) for i in range(tree.leaf_count)]
+    def leaf(i: int) -> SubspaceEstimate:
+        client = cfg.client(mats[i].shape[0], i)
+        for column in mats[i].T:
+            client.observe(column)
+        return client.finalize()
 
-    if max_workers is not None and max_workers > 1:
-        def feed(client: EdgeClient, m: np.ndarray) -> None:
-            for t in range(m.shape[1]):
-                client.observe(m[:, t])
-
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            list(pool.map(feed, clients, mats))
-    else:
+    if max_workers is None:
+        clients = [cfg.client(m.shape[0], i) for i, m in enumerate(mats)]
         for t in range(max(m.shape[1] for m in mats)):
             for client, m in zip(clients, mats):
                 if t < m.shape[1]:
                     client.observe(m[:, t])
-
-    return _aggregate_tree([c.finalize() for c in clients], tree, cfg.rank)
+        leaves = [c.finalize() for c in clients]
+    elif max_workers == 1:
+        leaves = [leaf(i) for i in range(tree.leaf_count)]
+    else:
+        with ThreadPoolExecutor(max_workers) as pool:
+            leaves = list(pool.map(leaf, range(tree.leaf_count)))
+    return _aggregate_tree(leaves, tree, cfg.rank)
 
 
 def depth_error_probe(

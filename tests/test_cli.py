@@ -4,6 +4,8 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -169,6 +171,14 @@ class TestRunEdge:
         assert main(["run-edge", "--data", str(bad), "--no-dp", "--out", str(tmp_path / "o")]) == 3
         assert "non-numeric cell on line 2" in capsys.readouterr().err
 
+    def test_non_utf8_csv_exit_3(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"1,2\n" * 5000 + b"\xe9")
+        out = tmp_path / "o"
+        assert main(["run-edge", "--data", str(bad), "--no-dp", "--out", str(out)]) == 3
+        assert f"{bad}: line 5001 is not UTF-8" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_data_directory_exit_3(self, tmp_path, capsys):
         assert main(["run-edge", "--data", str(tmp_path), "--no-dp",
                      "--out", str(tmp_path / "o")]) == 3
@@ -228,7 +238,7 @@ class TestRunFederated:
         fed, edge = tmp_path / "f", tmp_path / "e"
         common = ["--d", "8", "--n", "90", "--rank", "4", "--batch", "30",
                   "--no-dp", "--seed", "5"]
-        run_ok(["run-federated", "--leaves", "1", "--threads", "1"] + common
+        run_ok(["run-federated", "--leaves", "1"] + common
                + ["--out", str(fed)])
         run_ok(["run-edge"] + common + ["--out", str(edge)])
         fed_vals = [float(r["value"]) for r in read_metrics(fed, "global_value")]
@@ -255,14 +265,6 @@ class TestRunFederated:
         assert vals[5] == vals[17]
         assert len(run_ids) == 2  # still hashed into the run identifier
 
-    @pytest.mark.parametrize("threads", ["0", "-2"])
-    def test_threads_below_one_exit_2(self, tmp_path, capsys, threads):
-        out = tmp_path / "o"
-        assert main(["run-federated", "--d", "8", "--n", "80", "--leaves", "4", "--no-dp",
-                     "--threads", threads, "--out", str(out)]) == 2
-        assert "threads must be at least 1" in capsys.readouterr().err
-        assert not out.exists()
-
     def test_other_commands_reject_retired_keys(self, tmp_path):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("schedule=random_interleave\n")
@@ -270,20 +272,75 @@ class TestRunFederated:
                      "--out", str(tmp_path / "e")]) == 2
 
     def test_default_threads_do_not_reach_the_output(self, tmp_path, monkeypatch):
-        metrics = []
+        # the leaf pool takes one worker per CPU the process may run on
+        workers, metrics = [], []
+        real = cli.run_federation
+        monkeypatch.setattr(cli, "run_federation",
+                            lambda *a: workers.append(a[3]) or real(*a))
         for cpus in (1, 8):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                                raising=False)
             monkeypatch.setattr(os, "cpu_count", lambda: cpus)
             out = tmp_path / f"c{cpus}"
             run_ok(["run-federated", "--d", "8", "--n", "80", "--leaves", "4", "--no-dp",
                     "--out", str(out)])
-            assert "threads=" in manifest_lines(out / "manifest.txt")
+            assert not [ln for ln in manifest_lines(out / "manifest.txt")
+                        if ln.startswith("threads")]
             metrics.append((out / "metrics.csv").read_bytes())
+        assert workers == [1, 8]
         assert metrics[0] == metrics[1]
+
+    def test_worker_warning_reaches_the_manifest_once(self, tmp_path, monkeypatch, capsys):
+        # two workers build the four leaves; each client warns as it is built
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        builders = []
+        real = FederationConfig.client
+        monkeypatch.setattr(FederationConfig, "client", lambda self, *a:
+                            builders.append(threading.current_thread()) or real(self, *a))
+        out = tmp_path / "w"
+        run_ok(["run-federated", "--d", "8", "--n", "80", "--leaves", "4", "--rank", "6",
+                "--batch", "4", "--no-dp", "--out", str(out)])
+        assert len(builders) == 4 and threading.main_thread() not in builders
+        text = "batch width 4 is below the target rank 6"
+        assert sum(text in ln for ln in (out / "manifest.txt").read_text().splitlines()) == 1
+        assert capsys.readouterr().err.count(text) == 1
+
+    @pytest.mark.parametrize("policy", ["contiguous", "round_robin"])
+    @pytest.mark.parametrize("privacy", [["--no-dp"], ["--epsilon", "1", "--normalize", "unit-ball"]],
+                             ids=["plain", "private"])
+    def test_two_workers_hold_two_leaves(self, tmp_path, monkeypatch, policy, privacy):
+        """At two workers the command holds the data once and two leaves.
+
+        Besides the d x n data and the 8 n bytes of partition index arrays,
+        each running leaf holds its d x b column buffer and one update: a
+        plain update at most 2 d (r + b) + min(d, r + b)^2 doubles
+        (TestUpdateMemory's bound; once r + b exceeds d, no factor is wider
+        than d x (r + b)), a private one under d b bytes. The allowance covers the
+        generator's and the normalizer's d x 1024 blocks and Python objects.
+        Before leaves ran as tasks, all eight buffers lived until the tree
+        merged, and round_robin shares were copies of the data.
+        """
+        d, n, b, r = 20, 40_000, 5000, 5
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        argv = ["run-federated", "--generator", "gauss", "--d", str(d), "--n", str(n),
+                "--leaves", "8", "--batch", str(b), "--rank", str(r), "--policy", policy,
+                *privacy]
+        run_ok(argv[:3] + ["--d", "4", "--n", "16", *privacy, "--out", str(tmp_path / "warm")])
+        tracemalloc.start()
+        try:
+            run_ok(argv + ["--out", str(tmp_path / "o")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        update = d * b / 8 if len(privacy) > 1 else 2 * d * (r + b) + min(d, r + b) ** 2
+        assert peak <= 8 * (d * n + n + 2 * (d * b + update)) + 512 * 1024
 
     def test_rescale_private_reaches_the_clients(self, tmp_path):
         argv = ["run-federated", "--d", "8", "--n", "80", "--leaves", "4", "--rank", "3",
                 "--batch", "10", "--epsilon", "1", "--normalize", "unit-ball",
-                "--seed", "3", "--threads", "1"]
+                "--seed", "3"]
         values = {}
         for flag in ([], ["--rescale-private"]):
             out = tmp_path / f"r{len(flag)}"
@@ -545,8 +602,7 @@ _EDGE = {("--rank",): ("rank", None, False), ("--batch",): ("batch", None, False
          ("--omega-floor",): ("omega_floor", None, False),
          ("--rescale-private",): ("rescale_private", None, False)}
 _FED = {("--leaves",): ("leaves", None, False), ("--fanout",): ("fanout", None, False),
-        ("--policy",): ("policy", ("contiguous", "round_robin", "seeded_shuffle"), False),
-        ("--threads",): ("threads", None, False)}
+        ("--policy",): ("policy", ("contiguous", "round_robin", "seeded_shuffle"), False)}
 _SWEEP = {("--d",): ("d", None, False), ("--n",): ("n", None, False),
           ("--alphas",): ("alphas", None, False), ("--epsilons",): ("epsilons", None, False),
           ("--reps",): ("reps", None, False), ("--rank",): ("rank", None, False),
@@ -575,7 +631,7 @@ DEFAULTS = {
     "synth": {"seed": 0, "d": None, "n": None, "alpha": 1.0, "generator": "svd"},
     "run-edge": {"seed": 0, **_DATA_DEFAULTS, **_EDGE_DEFAULTS},
     "run-federated": {"seed": 0, **_DATA_DEFAULTS, **_EDGE_DEFAULTS, "leaves": 4,
-                      "fanout": 2, "policy": "contiguous", "threads": None},
+                      "fanout": 2, "policy": "contiguous"},
     "utility-sweep": {"seed": 0, "d": 20, "n": 5000, "alphas": "0.01,1.0",
                       "epsilons": "0.1,0.5,1.0,2.0,4.0", "reps": 20, "rank": 10,
                       "cov_block": None, "delta": 0.1, "no_dp": False},

@@ -217,10 +217,13 @@ class TestCsvRoundTrip:
                 load_csv(p)
 
     def test_undecodable_file_raises_the_decoding_error(self, tmp_path):
+        # the decoder reads ahead in chunks; the line is counted in the bytes
         p = tmp_path / "latin1.csv"
-        p.write_bytes(b"1,2\n\xe9,3\n")
-        with pytest.raises(UnicodeDecodeError):
-            load_csv(p)
+        for data, line in ((b"1,2\n\xe9,3\n", 2), (b"1,2\n" * 5000 + b"\xe9", 5001),
+                           (b"\xef\xbb\xbfa,b\n" + b"1,2\n" * 3000 + b"3,\xe9\n", 3002)):
+            p.write_bytes(data)
+            with pytest.raises(DataError, match=f"latin1.csv: line {line} is not UTF-8$"):
+                load_csv(p)
 
     def test_bom_tolerated(self, tmp_path):
         p = tmp_path / "bom.csv"
@@ -379,9 +382,15 @@ class TestPartitionColumns:
             assert np.shares_memory(block, y)
 
     def test_split_copies_scattered_shares(self):
-        y = np.arange(20.0).reshape(2, 10)
-        for block in partition_columns(10, 3, "round_robin").split(y):
-            assert not np.shares_memory(block, y)
+        # round_robin shares are evenly spaced: strided views, like contiguous ones
+        y = np.arange(40.0).reshape(2, 20)
+        for policy, views in (("round_robin", True), ("seeded_shuffle", False)):
+            p = partition_columns(20, 3, policy, seed=1)
+            for block, idx in zip(p.split(y), p.assignments):
+                assert np.array_equal(block, y[:, idx])
+                assert np.shares_memory(block, y) == views
+        p = StreamPartition(7, ((0, 3, 6), (1, 2, 4, 5)))
+        assert [np.shares_memory(b, y) for b in p.split(y[:, :7])] == [True, False]
 
     def test_partition_validation_messages(self):
         # empty shares anywhere, and a later share starting below an earlier one

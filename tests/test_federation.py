@@ -51,12 +51,12 @@ def assert_every_order_gives_the_federation_root(y, cfg):
     # uneven shares and one empty client, so the interleavings really differ
     streams = [y[:, :37], np.zeros((y.shape[0], 0)), y[:, 37:61], y[:, 61:]]
     tree = build_tree(len(streams), 3)
-    serial = run_federation(streams, tree, cfg).estimate
-    pooled = run_federation(streams, tree, cfg, max_workers=4).estimate
+    # round-robin columns, leaf tasks in the calling thread, leaf tasks on a pool
+    roots = [run_federation(streams, tree, cfg, k).estimate for k in (None, 1, 4)]
     for schedule in SCHEDULES:
         for seed in (0, 99):
             root = interleaved_root(streams, 3, cfg, schedule, seed)
-            for est in (serial, pooled):
+            for est in roots:
                 assert np.array_equal(est.values, root.values)
                 assert np.array_equal(est.basis, root.basis)
 
@@ -206,7 +206,7 @@ class TestRunFederation:
         assert not np.allclose(a.estimate.values, b.estimate.values)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("max_workers", [None, 2])
+    @pytest.mark.parametrize("max_workers", [None, 1, 2])
     @pytest.mark.parametrize("col", [0, 47], ids=["full-batch", "partial-batch"])
     def test_non_finite_entry_raises(self, bad, max_workers, col):
         # split and run_federation route the entry unread; the leaf's fold
