@@ -148,8 +148,9 @@ def _stringify(value) -> str:
 
 
 def load_key_values(path) -> dict[str, str]:
-    """Parse a flat key=value file; '#' lines are comments."""
+    """Parse a flat key=value file; '#' lines are comments, a repeated key fails."""
     out: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -161,7 +162,12 @@ def load_key_values(path) -> dict[str, str]:
         if "=" not in stripped:
             raise ConfigError(f"{path}:{line_no}: expected key=value")
         key, _, raw = stripped.partition("=")
-        out[key.strip()] = raw.strip()
+        key = key.strip()
+        if key in first_line:
+            raise ConfigError(f"{path}: key {key!r} is set on line {first_line[key]} "
+                              f"and again on line {line_no}")
+        first_line[key] = line_no
+        out[key] = raw.strip()
     return out
 
 

@@ -155,9 +155,9 @@ def run_federation(
 
     Each leaf i consumes streams[i] (d x n_i, n_i may be zero) in column
     order: with max_workers None, one column to each client in turn; with
-    k workers, one task per leaf that builds its client, streams it and
-    returns its estimate, k at a time (k = 1: in the calling thread). A
-    non-finite entry raises ValueError from the client batch that reads it.
+    k workers, one task per leaf, k at a time (k = 1: in the calling thread),
+    hands b-wide slices to process_batch, the last one partial, and returns
+    its estimate. A non-finite entry raises ValueError from its batch's fold.
     """
     if len(streams) != tree.leaf_count:
         raise ValueError(f"got {len(streams)} streams for {tree.leaf_count} leaves")
@@ -169,9 +169,9 @@ def run_federation(
 
     def leaf(i: int) -> SubspaceEstimate:
         client = cfg.client(mats[i].shape[0], i)
-        for column in mats[i].T:
-            client.observe(column)
-        return client.finalize()
+        for lo in range(0, mats[i].shape[1], cfg.batch_size):
+            client.process_batch(mats[i][:, lo : lo + cfg.batch_size])
+        return client.estimate
 
     if max_workers is None:
         clients = [cfg.client(m.shape[0], i) for i, m in enumerate(mats)]

@@ -3,14 +3,14 @@
 Covariance release works block-wise: the d x d sample covariance of a batch
 is produced c columns at a time, each slab perturbed with an independent
 iid Gaussian mask whose scale follows from the (epsilon, delta) budget, the
-ambient dimension, and the batch width. Nothing here ever holds more than
-two d x c arrays at a time.
+ambient dimension, and the batch width. Besides the batch, nothing here
+holds more than two d x c arrays at a time.
 
-A batch is read once, by the covariance products. Its finiteness is
-checked on each product rather than by a separate scan of the d x b
-entries, which would read the batch a second time and allocate a d x b
-mask: a non-finite entry, or a finite one whose square overflows, always
-leaves a non-finite value in a product (see :func:`masked_cov_blocks`).
+A batch is read once, by the covariance products, which also check its
+finiteness without a second d x b scan: a non-finite entry, or a finite
+one whose square overflows, always leaves a non-finite value in a
+product. The one exception is a batch with no unit stride, copied once so
+that every layout gives the same bits (both in :func:`masked_cov_blocks`).
 """
 
 from __future__ import annotations
@@ -159,18 +159,24 @@ def masked_cov_blocks(
     place, so besides the slab it builds the generator holds only its mask
     or the slab it yielded last: two d x c arrays at most.
 
+    The slabs depend on B's values, not its layout: a B with no unit
+    stride (a round_robin slice) is first copied to C order, one d x b
+    array, since BLAS cannot take it and numpy's own loop rounds
+    differently. Other batches, column slices included, are not copied.
+
     Only B's shape is checked up front. Each raw product is checked for
     finiteness before it is scaled or masked, and a failure raises
     ValueError before that slab's mask is drawn. The check catches every
     non-finite entry: one in row j puts B[j, k]^2 into the sum of squares
     at entry (j, j) of the slab covering column j. That factor is never
     zero, so no BLAS skips it, and the sum of non-negative terms stays
-    non-finite, as it does when finite squares overflow. (With OpenBLAS a
-    non-finite entry also spoils all of row j of the first product, since
-    inf * 0 and nan * 0 are nan; a BLAS that skips zero factors may
-    instead yield earlier slabs before the one covering column j fails.)
+    non-finite, as it does when finite squares overflow. (OpenBLAS also
+    spoils all of row j of the first product, as inf * 0 and nan * 0 are
+    nan; a BLAS that skips zero factors may yield earlier slabs first.)
     """
     m = as_matrix(batch, "batch")
+    if m.itemsize not in m.strides:  # no unit stride: numpy's loop, not BLAS
+        m = np.ascontiguousarray(m)
     d, b = m.shape
     if c < 1:
         raise ValueError(f"block width must be positive, got {c}")

@@ -490,6 +490,24 @@ class TestConfigFile:
         assert main(["run-edge", "--d", "4", "--n", "8", "--no-dp",
                      "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("replay", [False, True])
+    def test_repeated_key_exit_2(self, tmp_path, capsys, replay):
+        # neither value may win silently, in a config file or a manifest
+        text = "# rank twice\nrank=3\nbatch=20\n rank = 5\n"
+        path, out = tmp_path / "cfg.txt", tmp_path / "o"
+        if replay:
+            path.write_text("command=run-edge\nd=6\nn=40\nno_dp=true\n" + text)
+            argv = ["replay", str(path)]
+        else:
+            path.write_text(text)
+            argv = ["run-edge", "--d", "6", "--n", "40", "--no-dp", "--config", str(path)]
+        capsys.readouterr()
+        assert main(argv + ["--out", str(out)]) == 2
+        first, again = (6, 8) if replay else (2, 4)
+        assert (f"key 'rank' is set on line {first} and again on line {again}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
 
 class TestUtilitySweep:
     def test_row_counts_and_ranges(self, tmp_path):

@@ -161,16 +161,23 @@ class TestRunFederation:
         assert_every_order_gives_the_federation_root(y, FederationConfig(rank=4, batch_size=10))
 
     def test_thread_pool_is_result_identical(self):
-        y = global_matrix(4, 8, 80)
-        streams = split_columns(y, 4)
-        tree = build_tree(4, 2)
-        cfg = FederationConfig(rank=4, batch_size=10)
         api = _blas.openblas()
         threads = api.get_num_threads() if api else None
-        serial = run_federation(streams, tree, cfg)
-        pooled = run_federation(streams, tree, cfg, max_workers=4)
-        assert np.array_equal(serial.estimate.values, pooled.estimate.values)
-        assert np.array_equal(serial.estimate.basis, pooled.estimate.basis)
+        y = global_matrix(4, 8, 80)
+        cases = [(split_columns(y, 4), FederationConfig(rank=4, batch_size=10), 4)]
+        # round_robin shares are strided views: leaf tasks hand their b-wide
+        # slices to the private kernel, which must round them as it rounds
+        # the round-robin loop's contiguous column buffer
+        y = global_matrix(12, 16, 2000)
+        strided = partition_columns(2000, 4, "round_robin").split(y)
+        for dp in (None, DpConfig(1.0, 0.1)):
+            cases.append((strided, FederationConfig(rank=4, batch_size=250, dp=dp, seed=3), 2))
+        for streams, cfg, workers in cases:
+            tree = build_tree(len(streams), 2)
+            serial = run_federation(streams, tree, cfg)
+            pooled = run_federation(streams, tree, cfg, max_workers=workers)
+            assert np.array_equal(serial.estimate.values, pooled.estimate.values)
+            assert np.array_equal(serial.estimate.basis, pooled.estimate.basis)
         # overlapping one-thread update scopes hand back the caller's count
         if threads is not None:
             assert api.get_num_threads() == threads

@@ -238,6 +238,34 @@ class TestMaskedCovBlocks:
         with pytest.raises(ValueError, match="non-finite entries or its squares overflow"):
             next(gen)
 
+    @pytest.mark.parametrize("c", [5, 16])
+    def test_strided_batch_gives_the_slabs_of_its_copy(self, c):
+        # numpy multiplies a batch with no unit stride in its own loop,
+        # whose last bits differ from BLAS's; the kernel copies it first
+        view = np.random.default_rng(8).standard_normal((16, 2000))[:, 1::4]
+        copy = np.ascontiguousarray(view)
+        got = list(masked_cov_blocks(view, c, 0.3, np.random.default_rng(1)))
+        want = list(masked_cov_blocks(copy, c, 0.3, np.random.default_rng(1)))
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_column_slice_is_not_copied(self, order):
+        # a 400 x 50 copy (160 KB) would outweigh the two 400 x 8 slabs
+        d, c = 400, 8
+        rng = np.random.default_rng(4)
+        y = np.asarray(rng.standard_normal((d, 200)), order=order)
+        list(masked_cov_blocks(y[:, :2], 1, 0.3, rng))  # first-use imports
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            deque(masked_cov_blocks(y[:, :50], c, 0.3, rng), maxlen=0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 8 * d * c + 16384
+
     def test_generator_holds_at_most_two_slabs(self):
         # the slab yielded last stays bound until the next product replaces
         # it; scaling that product in place adds no third d x c array
