@@ -12,11 +12,11 @@ from .datasets import (
     DataError,
     StreamPartition,
     load_csv,
-    normalize_unit_ball,
     partition_columns,
     save_matrix_csv,
     synth,
     synth_gaussian_cov,
+    unit_ball_factor,
 )
 from .edge import EdgeClient, EnergyBounds, adjust_rank, energy_ratio, ssvd
 from .federation import (
@@ -79,7 +79,6 @@ __all__ = [
     "masked_cov_blocks",
     "merge",
     "min_batch_size",
-    "normalize_unit_ball",
     "omega_streaming",
     "omega_symmetric_sulq",
     "partition_columns",
@@ -93,4 +92,5 @@ __all__ = [
     "synth",
     "synth_gaussian_cov",
     "truncated_svd",
+    "unit_ball_factor",
 ]

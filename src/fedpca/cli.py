@@ -393,6 +393,7 @@ def cmd_utility_sweep(params: dict, out_dir: Path, log: MetricLog, timing: Metri
             if np.min(norms) <= 0:
                 raise DataError("degenerate zero column in sweep data")
             x = x / norms  # every sample on the unit sphere
+            x /= unit_ball_factor(x)  # rounding leaves some norms an ulp above 1
             v_true = truncated_svd(x, 1).basis[:, 0]
             for ei, eps_raw in enumerate(epsilons):
                 eps_eff = max(eps_raw, EPSILON_FLOOR)

@@ -3,6 +3,7 @@
 Samples are columns everywhere inside the package; the CSV loader accepts
 either orientation and transposes on the way in. Generation is fully
 deterministic given the seed: the same arguments always yield the same bytes.
+One rule puts columns inside the unit ball: divide by :func:`unit_ball_factor`.
 """
 
 from __future__ import annotations
@@ -149,13 +150,14 @@ def load_csv(path, orientation: str = "columns") -> np.ndarray:
 
 
 def unit_ball_factor(x) -> float:
-    """The divisor normalize_unit_ball applies to x, found without a scaled copy.
+    """The divisor that puts every column of x inside the unit ball.
 
-    It starts at max(1, largest column norm) and steps up to the next float
-    while rounding leaves a column of x / factor an ulp above norm 1. The
-    scaled norms are taken GENERATE_BLOCK columns at a time, so the check
-    holds a d x block temporary. A non-finite entry makes its column's sum
-    of squares non-finite and raises ValueError.
+    It starts at max(1, largest column norm), so data already inside the
+    ball is never scaled up, and steps up to the next float while rounding
+    leaves a column of x / factor an ulp above norm 1. The scaled norms are
+    taken GENERATE_BLOCK columns at a time, so the check holds a d x block
+    temporary. A non-finite entry makes its column's sum of squares
+    non-finite and raises ValueError.
     """
     m = as_matrix(x)
     factor = float(np.max(np.sqrt(np.einsum("ij,ij->j", m, m)), initial=1.0))
@@ -169,21 +171,6 @@ def unit_ball_factor(x) -> float:
     while factor != 1.0 and max(map(scaled_norm, range(0, m.shape[1], GENERATE_BLOCK))) > 1.0:
         factor = float(np.nextafter(factor, math.inf))
     return factor
-
-
-def normalize_unit_ball(x) -> tuple[np.ndarray, float]:
-    """Scale all columns by 1 / max(1, largest column norm).
-
-    Returns the scaled matrix and the divisor actually applied, so callers
-    can record it. Every column norm of the result is <= 1: where rounding
-    leaves the largest one an ulp above 1, the divisor is stepped up to the
-    next float until it is not (see unit_ball_factor). Never scales up: data
-    already inside the unit ball is returned unchanged with factor 1. A
-    non-finite entry raises ValueError.
-    """
-    m = as_matrix(x)
-    factor = unit_ball_factor(m)
-    return (m if factor == 1.0 else m / factor), factor
 
 
 def save_matrix_csv(path, x) -> None:

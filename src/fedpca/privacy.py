@@ -3,8 +3,9 @@
 Covariance release works block-wise: the d x d sample covariance of a batch
 is produced c columns at a time, each slab perturbed with an independent
 iid Gaussian mask whose scale follows from the (epsilon, delta) budget, the
-ambient dimension, and the batch width. Besides the batch, nothing here
-holds more than two d x c arrays at a time.
+ambient dimension, and the batch width. Both noise scales are one formula,
+owned with its checks by ``_omega``. Besides the batch, nothing here holds
+more than two d x c arrays at a time.
 
 A batch is read once, by the covariance products, which also check its
 finiteness without a second d x b scan: a non-finite entry, or a finite
@@ -57,23 +58,19 @@ class DpConfig:
             raise ValueError("omega_floor must be positive when given")
 
 
-def _checked_log(argument: float) -> float:
-    if argument <= 1.0:
-        raise CalibrationError(
-            f"log argument {argument:.6g} <= 1; (epsilon, delta, d) admit no "
-            "positive noise calibration"
-        )
-    return math.log(argument)
-
-
-def _check_dims(d: int, n: int) -> None:
+def _omega(dp: DpConfig, d: int, n: int, scale: float, log_arg: float, tail: float) -> float:
+    """(scale / (eps n)) sqrt(2 ln log_arg) + tail / (sqrt(eps) n), checked."""
     if d < 1:
         raise ValueError(f"dimension must be positive, got {d}")
     if n < 1:
         raise ValueError(f"batch width must be positive, got {n}")
-
-
-def _checked_omega(omega: float, dp: DpConfig, d: int) -> float:
+    if log_arg <= 1.0:
+        raise CalibrationError(
+            f"log argument {log_arg:.6g} <= 1; (epsilon, delta, d) admit no "
+            "positive noise calibration"
+        )
+    omega = (scale / (dp.epsilon * n)) * math.sqrt(2.0 * math.log(log_arg))
+    omega += tail / (math.sqrt(dp.epsilon) * n)
     if not math.isfinite(omega):
         raise CalibrationError(
             f"noise scale is not finite for epsilon={dp.epsilon:.6g}, "
@@ -88,11 +85,7 @@ def omega_streaming(dp: DpConfig, d: int, n: int) -> float:
     omega = (4 d / (eps n)) sqrt(2 ln(d^2 / (delta sqrt(2 pi))))
             + sqrt(2) / (sqrt(eps) n)
     """
-    _check_dims(d, n)
-    log_term = _checked_log(d * d / (dp.delta * _SQRT_2PI))
-    omega = (4.0 * d / (dp.epsilon * n)) * math.sqrt(2.0 * log_term)
-    omega += math.sqrt(2.0) / (math.sqrt(dp.epsilon) * n)
-    return _checked_omega(omega, dp, d)
+    return _omega(dp, d, n, 4.0 * d, d * d / (dp.delta * _SQRT_2PI), math.sqrt(2.0))
 
 
 def omega_symmetric_sulq(dp: DpConfig, d: int, n: int) -> float:
@@ -101,11 +94,7 @@ def omega_symmetric_sulq(dp: DpConfig, d: int, n: int) -> float:
     omega = ((d + 1) / (n eps)) sqrt(2 ln((d^2 + d) / (2 delta sqrt(2 pi))))
             + 1 / (n sqrt(eps))
     """
-    _check_dims(d, n)
-    log_term = _checked_log((d * d + d) / (2.0 * dp.delta * _SQRT_2PI))
-    omega = ((d + 1.0) / (n * dp.epsilon)) * math.sqrt(2.0 * log_term)
-    omega += 1.0 / (n * math.sqrt(dp.epsilon))
-    return _checked_omega(omega, dp, d)
+    return _omega(dp, d, n, d + 1.0, (d * d + d) / (2.0 * dp.delta * _SQRT_2PI), 1.0)
 
 
 def min_batch_size(dp: DpConfig, d: int, omega_floor: float) -> int:

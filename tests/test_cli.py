@@ -13,7 +13,7 @@ import pytest
 
 from fedpca import _blas, cli
 from fedpca.cli import EPSILON_FLOOR, build_parser, main, resolve_params
-from fedpca.datasets import load_csv, normalize_unit_ball, synth, synth_gaussian_cov
+from fedpca.datasets import load_csv, synth, synth_gaussian_cov, unit_ball_factor
 from fedpca.federation import FederationConfig, build_tree, depth_error_probe, run_federation
 from fedpca.privacy import DpConfig
 
@@ -118,8 +118,8 @@ class TestRunEdge:
     def test_dp_on_normalized_columns_does_not_warn(self, tmp_path, capsys):
         # at seed 13 plain division by the largest norm leaves it one ulp
         # above 1; the normalizer steps its divisor up until it is not
-        scaled, _ = normalize_unit_ball(synth_gaussian_cov(20, 1000, 1.0, 13))
-        assert np.max(np.linalg.norm(scaled, axis=0)) <= 1.0
+        x = synth_gaussian_cov(20, 1000, 1.0, 13)
+        assert np.max(np.linalg.norm(x / unit_ball_factor(x), axis=0)) <= 1.0
         out = tmp_path / "n"
         run_ok(["run-edge", "--generator", "gauss", "--d", "20", "--n", "1000",
                 "--epsilon", "1", "--normalize", "unit-ball", "--seed", "13",
@@ -346,7 +346,8 @@ class TestRunFederated:
             out = tmp_path / f"r{len(flag)}"
             run_ok(argv + flag + ["--out", str(out)])
             values[bool(flag)] = [float(r["value"]) for r in read_metrics(out, "global_value")]
-        x, _ = normalize_unit_ball(synth(8, 80, 1.0, 3))
+        x = synth(8, 80, 1.0, 3)
+        x /= unit_ball_factor(x)
         cfg = FederationConfig(rank=3, batch_size=10, dp=DpConfig(1.0, 0.1),
                                rescale_private=True, seed=3)
         lib = run_federation(np.array_split(x, 4, axis=1), build_tree(4, 2), cfg)
@@ -545,6 +546,22 @@ class TestUtilitySweep:
                     "--seed", "3", "--out", str(out)])
             outs.append((out / "metrics.csv").read_bytes())
         assert outs[0] == outs[1]
+
+    def test_estimators_get_unit_ball_columns(self, tmp_path, monkeypatch):
+        # division by the column norms alone leaves some columns an ulp
+        # above norm 1, outside the ball the noise scales assume
+        largest = []
+        estimators = cli._sweep_estimators
+
+        def record(x, *args):
+            largest.append(np.max(np.sqrt(np.einsum("ij,ij->j", x, x))))
+            return estimators(x, *args)
+
+        monkeypatch.setattr(cli, "_sweep_estimators", record)
+        run_ok(["utility-sweep", "--d", "20", "--n", "5000", "--reps", "2",
+                "--seed", "0", "--out", str(tmp_path / "b")])
+        assert len(largest) == 20  # 2 alphas x 2 reps x 5 epsilons
+        assert max(largest) <= 1.0
 
 
 class TestDepthProbe:
