@@ -97,7 +97,7 @@ def adjust_rank(est: SubspaceEstimate, bounds: EnergyBounds) -> SubspaceEstimate
     At rank 1, and at min(d, max_rank), the estimate saturates.
     """
     r = est.rank
-    if r == 0 or float(np.sum(est.values)) <= 0:
+    if r == 0 or est.values[0] == 0.0:  # non-increasing and non-negative: all zero
         return est
     ratio = energy_ratio(est.values, r)
     cap = est.dim if bounds.max_rank is None else min(est.dim, bounds.max_rank)
@@ -125,7 +125,7 @@ def ssvd(block, est: SubspaceEstimate, r: int) -> SubspaceEstimate:
     m = as_matrix(block, "block")
     if m.shape[0] != est.dim:
         raise ValueError("block rows do not match estimate dimension")
-    if est.rank == 0 or float(np.sum(est.values)) == 0.0:
+    if est.rank == 0 or est.values[0] == 0.0:  # all zero, as the values are non-increasing
         return subspace_of(m, r)
     return merge(est, subspace_of(m), r)
 

@@ -11,6 +11,8 @@ the target rank covers the combined rank.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -42,7 +44,7 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
 def ensure_matrix(a, name: str = "matrix") -> np.ndarray:
     """Validate and return a 2-D float64 array with finite entries."""
     m = as_matrix(a, name)
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError(f"{name} contains non-finite entries")
     return m
 
@@ -50,31 +52,25 @@ def ensure_matrix(a, name: str = "matrix") -> np.ndarray:
 def _fix_signs(left: np.ndarray) -> None:
     """Flip columns in place so each column's largest-magnitude entry is positive.
 
-    Ties pick the lowest row index (np.argmax convention). An all-zero
-    column is left as it is. The column max and min decide every column
-    whose largest positive and negative magnitudes differ; only tied
-    columns are searched with argmax. Flipped columns are scaled by -1 one
-    at a time, because a broadcast ``left *= signs`` allocates a numpy
-    iteration buffer of up to 8192 elements, all of left on small factors.
-    (``np.negative(col, out=col)`` is avoided: numpy 2.4 writes wrong
-    entries in place when the column's stride is exactly 8 elements.)
+    Ties pick the lowest row index (np.argmax); an all-zero column stays.
+    Checking rule: one max and one min reduction, then one Python pass over
+    the k columns, with argmax on a tied column alone. Flips go column by
+    column: ``left *= signs`` allocates an iteration buffer of up to 8192
+    elements, and ``np.negative(col, out=col)`` writes wrong entries under
+    numpy 2.4 when the column's stride is exactly 8 elements.
     """
-    top = left.max(axis=0)
-    bottom = -left.min(axis=0)
-    flip = bottom > top
-    tied = np.flatnonzero(bottom == top)
-    if tied.size:
-        peak = np.argmax(np.abs(left[:, tied]), axis=0)
-        flip[tied] = left[peak, tied] < 0
-    for j in np.flatnonzero(flip):
-        left[:, j] *= -1.0
+    for j, (top, bottom) in enumerate(zip(left.max(axis=0), left.min(axis=0))):
+        if -bottom >= top and (-bottom > top or left[np.argmax(np.abs(left[:, j])), j] < 0):
+            left[:, j] *= -1.0
 
 
-def _zero_cutoff(values: np.ndarray, dim_max: int) -> float:
-    """Threshold below which singular values are treated as exact zeros."""
-    if values.size == 0:
-        return 0.0
-    return dim_max * _EPS * float(values[0])
+def _nonzero_count(values: np.ndarray, dim_max: int) -> int:
+    """How many of the non-increasing values exceed the zero cutoff dim_max * eps * values[0]."""
+    keep = values.size
+    cutoff = dim_max * _EPS * float(values[0])
+    while keep and values[keep - 1] <= cutoff:
+        keep -= 1
+    return keep
 
 
 def _check_orthonormal(u: np.ndarray, tol_scale: float, what: str) -> None:
@@ -83,7 +79,7 @@ def _check_orthonormal(u: np.ndarray, tol_scale: float, what: str) -> None:
         return
     gram = u.T @ u
     gram.flat[:: r + 1] -= 1.0  # gram - I in place, so the check holds one r x r array
-    dev = float(np.max(np.abs(gram, out=gram)))
+    dev = float(np.abs(gram, out=gram).max())
     if not dev <= ORTHO_TOL * tol_scale:  # nan or inf for a non-finite entry
         raise ValueError(f"{what} is not column-orthonormal (deviation {dev:.3e})")
 
@@ -95,6 +91,9 @@ class SubspaceEstimate:
     r = 0 is a valid empty estimate and acts as the neutral element of
     :func:`merge`. Instances are treated as immutable snapshots; the arrays
     they carry are never mutated by this module.
+
+    Checks, in order: every value finite, the values non-negative and
+    non-increasing (by iteration, cheaper than numpy at small r), the basis orthonormal.
     """
 
     basis: np.ndarray
@@ -113,9 +112,10 @@ class SubspaceEstimate:
             raise ValueError("rank cannot exceed ambient dimension")
         if not values.size:
             return
-        if not np.all(np.isfinite(values)):
+        # finiteness first: a NaN fails no comparison below
+        if not all(map(math.isfinite, values)):
             raise ValueError("estimate contains non-finite values")
-        if np.any(values < 0) or np.any(values[:-1] < values[1:]):
+        if values[-1] < 0 or any(map(operator.lt, values, values[1:])):
             raise ValueError("values must be non-increasing and non-negative")
         _check_orthonormal(basis, max(basis.shape[0], 1), "basis")
 
@@ -147,11 +147,13 @@ class SubspaceEstimate:
         return SubspaceEstimate(self.basis[:, :r], self.values[:r])
 
     def scaled(self, weight: float) -> "SubspaceEstimate":
-        """Same directions with values multiplied by a positive weight."""
-        if weight <= 0:
-            raise ValueError("weight must be positive")
+        """Same directions with values multiplied by a weight in (0, inf); an overflow raises."""
+        if not 0 < weight < math.inf:
+            raise ValueError(f"weight must lie in (0, inf), got {weight}")
         if weight == 1.0 or self.rank == 0:
             return self
+        if not math.isfinite(float(self.values[0]) * weight):
+            raise ValueError(f"weight {weight} overflows the largest value {self.values[0]}")
         return SubspaceEstimate(self.basis, self.values * weight)
 
 
@@ -197,8 +199,7 @@ def subspace_of(a, r: Optional[int] = None) -> SubspaceEstimate:
     if k < 1:
         raise ValueError("requested rank must be at least 1")
     f = truncated_svd(m, k)
-    cutoff = _zero_cutoff(f.values, max(d, n))
-    return f.truncated(int(np.sum(f.values > cutoff)))
+    return f.truncated(_nonzero_count(f.values, max(d, n)))
 
 
 def merge(s1: SubspaceEstimate, s2: SubspaceEstimate, r: int) -> SubspaceEstimate:
@@ -242,9 +243,8 @@ def merge(s1: SubspaceEstimate, s2: SubspaceEstimate, r: int) -> SubspaceEstimat
     accounting.note("merge.concat", a.shape)
     u, vals, _ = np.linalg.svd(a, full_matrices=False)
     accounting.note("merge.left", u.shape)
-    cutoff = _zero_cutoff(vals, max(a.shape))
+    keep = min(r, _nonzero_count(vals, max(a.shape)))
     del a  # freed before the basis is copied out of u, so the two never coexist
-    keep = min(r, int(np.sum(vals > cutoff)))
     if keep == 0:
         return SubspaceEstimate.empty(d)
 

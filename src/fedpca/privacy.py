@@ -122,7 +122,7 @@ def gaussian_mask(d: int, c: int, omega: float, rng: np.random.Generator) -> np.
     """(d, c) matrix of iid N(0, omega^2), all zeros at omega == 0; the one check on omega."""
     if d < 1 or c < 1:
         raise ValueError(f"mask shape must be positive, got ({d}, {c})")
-    if not omega >= 0 or not math.isfinite(omega):
+    if not 0.0 <= omega < math.inf:  # also false for nan
         raise ValueError(f"omega must be finite and >= 0, got {omega}")
     accounting.note("privacy.mask", (d, c))
     if omega == 0.0:

@@ -1,4 +1,6 @@
 import sys
+import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -69,6 +71,60 @@ class TestFixSigns:
         fix_signs_loop(want_left)
         _fix_signs(left)
         assert np.array_equal(np.signbit(left), np.signbit(want_left))
+
+    @staticmethod
+    def lapack_left(d, k, seed):
+        """The left factor LAPACK returns for a d x k block, or the leading k of a d x d one."""
+        rng = np.random.default_rng(seed)
+        u = np.linalg.svd(rng.standard_normal((d, max(k, min(d, 20)))), full_matrices=False)[0]
+        return u if u.shape[1] == k else u[:, :k].copy()
+
+    @staticmethod
+    def force_ties(left):
+        """Give every third column an exact tie: its peak magnitude at two rows, opposite signs.
+
+        The negative entry comes first in one column and second in the next,
+        so the lowest-row rule must flip one and keep the other.
+        """
+        for n, j in enumerate(range(0, left.shape[1], 3)):
+            col = left[:, j]
+            i = int(np.argmax(np.abs(col)))
+            peak, other = abs(col[i]), (i + 1) % col.size
+            col[min(i, other)] = -peak if n % 2 else peak
+            col[max(i, other)] = peak if n % 2 else -peak
+
+    @pytest.mark.parametrize("d, k", [(400, 50), (100, 60), (20, 5)])
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_lapack_factors_match_column_loop(self, d, k, ties):
+        # the factors the three benchmark workloads sign: an edge-stream
+        # block, an edge-cli merge panel and a fed-private slab
+        for seed in range(4):
+            left = self.lapack_left(d, k, seed)
+            if ties:
+                self.force_ties(left)
+            for flipped in (left, -left):
+                got, want = flipped.copy(), flipped.copy()
+                fix_signs_loop(want)
+                _fix_signs(got)
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_peak_is_far_below_one_factor(self):
+        # a broadcast flip's iteration buffer (up to 64 KiB) or an abs copy
+        # of the whole factor (156 KiB here) would break this bound
+        d, k = 400, 50
+        left = self.lapack_left(d, k, 0)
+        self.force_ties(left)
+        left = -left  # every column flips
+        _fix_signs(left.copy())  # first-use allocations
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            _fix_signs(left)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16384 < 8 * d * k
 
 
 class TestTruncatedSvd:
@@ -152,6 +208,17 @@ class TestSubspaceEstimate:
         with pytest.raises(ValueError):
             SubspaceEstimate(u, np.array([1.0, -0.5]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("at", [0, 2, 4])
+    def test_rejects_non_finite_values(self, bad, at):
+        # checked before the order: a nan fails every comparison (at 2 it sits
+        # between non-increasing neighbours), and an infinity out of order or
+        # a -inf would otherwise fail the order check first
+        values = np.array([5.0, 4.0, 3.0, 2.0, 1.0])
+        values[at] = bad
+        with pytest.raises(ValueError, match="non-finite values"):
+            SubspaceEstimate(np.eye(6)[:, :5], values)
+
     def test_truncated_and_scaled(self):
         s = subspace_of(np.diag([3.0, 2.0, 1.0]))
         t = s.truncated(2)
@@ -161,6 +228,21 @@ class TestSubspaceEstimate:
         for bad in (0.0, -0.1):
             with pytest.raises(ValueError):
                 s.scaled(bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.0])
+    def test_scaled_names_a_weight_outside_zero_to_inf(self, bad):
+        s = subspace_of(np.diag([3.0, 2.0]))
+        with pytest.raises(ValueError, match=rf"weight must lie in \(0, inf\), got {bad}"):
+            s.scaled(bad)
+
+    def test_scaled_overflow_raises_without_a_warning(self):
+        s = subspace_of(np.diag([2.0, 1.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="weight 1e[+]308 overflows the largest value 2.0"):
+                s.scaled(1e308)
+            # the largest finite product is kept
+            assert s.scaled(8e307).values[0] == 1.6e308
 
 
 class TestMerge:
@@ -186,6 +268,20 @@ class TestMerge:
         out = merge(s1, s2, 8)
         expect = np.linalg.svd(y, compute_uv=False)
         assert np.max(np.abs(out.values - expect)) < 1e-8
+
+    @pytest.mark.parametrize("q", [0, 1, 3, 6])
+    def test_zero_cutoff_counts_values_above_it(self, q):
+        # rank-q blocks: the values left after the rank are rounding
+        # residue, pruned by the cutoff max(d, n) * eps * s_1
+        rng = np.random.default_rng(q)
+        d, n = 8, 6
+        eps = np.finfo(np.float64).eps
+        a = rng.standard_normal((d, q)) @ rng.standard_normal((q, n))
+        vals = np.linalg.svd(a, compute_uv=False)
+        assert subspace_of(a).rank == int(np.sum(vals > max(d, n) * eps * vals[0]))
+        if q:
+            s1, s2 = subspace_of(a[:, :3]), subspace_of(a[:, 3:])
+            assert merge(s1, s2, d).rank == concat_svd(s1, s2, d)[1].size == q
 
     def test_duplicate_at_double_rank_prunes_phantoms(self):
         s = random_estimate(9, 10, 4)
