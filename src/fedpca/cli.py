@@ -239,9 +239,10 @@ def _client_config(params: dict, x: np.ndarray, meta: list[str]) -> FederationCo
     d, n = x.shape
     energy = (EnergyBounds(params["energy_alpha"], params["energy_beta"], params["max_rank"])
               if params["adaptive"] else None)
-    dp = None
-    if not params["no_dp"]:
-        dp = DpConfig(params["epsilon"], params["delta"], params["omega_floor"])
+    dp = None if params["no_dp"] else DpConfig(params["epsilon"], params["delta"],
+                                               params["omega_floor"])
+    # the unit-ball divisor (_acquire_data) leaves no column norm above 1
+    if dp is not None and params.get("normalize", "none") == "none":
         norms = np.sqrt(np.einsum("ij,ij->j", x, x))
         outside = int(np.sum(norms > 1.0))
         if outside:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import re
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,67 +86,57 @@ def synth_gaussian_cov(d: int, n: int, alpha: float, seed: int) -> np.ndarray:
     return z
 
 
-def _first_non_utf8_line(path) -> int:
-    """The number of the first line of a file that is not UTF-8 (0 if none)."""
-    with open(path, "rb") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            try:
-                line.decode("utf-8")
-            except UnicodeDecodeError:
-                return line_no
-    return 0
-
-
 def load_csv(path, orientation: str = "columns") -> np.ndarray:
     """Parse a numeric CSV into a d x n matrix of column samples.
 
     orientation "columns" takes the file as the matrix itself (rows are
     features); "rows" means each CSV row is one sample and the result is
-    transposed. A non-numeric line 1 is a header and is skipped, and so are
-    lines of only commas, quotes and whitespace. A cell may be quoted or
-    padded with spaces; underscores and non-ASCII digits are not numbers.
+    transposed. Lines may end in \\n, \\r\\n or \\r. A non-numeric line 1 is
+    a header and is skipped, and so are lines of only commas, quotes and
+    whitespace. A cell may be quoted or padded with spaces; underscores and
+    non-ASCII digits are not numbers.
 
     Raises:
         DataError: empty file, bytes that are not UTF-8, ragged rows,
-            non-numeric or non-finite cells.
+            non-numeric or non-finite cells. The message names the line of
+            the first fault in file order.
     """
     if orientation not in ("columns", "rows"):
         raise ValueError(f"unknown orientation {orientation!r}")
-    line_no = 0  # numpy pulls one line at a time: the line it rejects is the last read
 
-    def cell_lines(fh, skip):
-        nonlocal line_no
-        rows = 0
+    def cell_lines(fh, skip, rows):
+        # numpy pulls one line at a time: the line it rejects is rows[-1]
         for line_no, line in enumerate(fh, start=1):
+            if not line.isascii():
+                try:
+                    line.encode()  # a byte that is not UTF-8 was decoded to a lone surrogate
+                except UnicodeEncodeError:
+                    raise DataError(f"{path}: line {line_no} is not UTF-8") from None
             if line_no > skip and re.search(r'[^\s,"]', line):
-                rows += 1
+                rows.append(line_no)
                 yield line
         if not rows:
             raise DataError(f"{path}: no numeric rows")
 
     for skip in (0, 1):  # a non-numeric line 1 is a header: read again without it
-        with open(path, encoding="utf-8-sig") as fh:
+        rows = array("q")  # the file line of each row handed to numpy
+        with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
             try:
-                matrix = np.loadtxt(cell_lines(fh, skip), delimiter=",", quotechar='"',
+                matrix = np.loadtxt(cell_lines(fh, skip, rows), delimiter=",", quotechar='"',
                                     comments=None, ndmin=2)
                 break
-            except UnicodeDecodeError:  # decoding runs a chunk ahead of the line read
-                raise DataError(f"{path}: line {_first_non_utf8_line(path)} is not UTF-8") from None
             except ValueError as exc:
                 if type(exc) is not ValueError:
-                    raise  # no numeric rows
+                    raise  # a DataError from cell_lines
                 ragged = re.search(r"columns changed from (\d+) to (\d+)", str(exc))
                 if ragged:
-                    raise DataError(f"{path}: line {line_no} has {ragged[2]} cells, "
+                    raise DataError(f"{path}: line {rows[-1]} has {ragged[2]} cells, "
                                     f"expected {ragged[1]}") from None
-                if line_no > 1 or skip:
-                    raise DataError(f"{path}: non-numeric cell on line {line_no}") from None
+                if rows[-1] > 1 or skip:
+                    raise DataError(f"{path}: non-numeric cell on line {rows[-1]}") from None
     finite = np.isfinite(matrix).all(axis=1)
     if not finite.all():
-        with open(path, encoding="utf-8-sig") as fh:  # read up to the first bad row
-            for _ in zip(range(int(np.argmin(finite)) + 1), cell_lines(fh, skip)):
-                pass
-        raise DataError(f"{path}: non-finite cell on line {line_no}")
+        raise DataError(f"{path}: non-finite cell on line {rows[int(np.argmin(finite))]}")
     return matrix.T.copy() if orientation == "rows" else matrix
 
 

@@ -155,9 +155,9 @@ def run_federation(
 
     Each leaf i consumes streams[i] (d x n_i, n_i may be zero) in column
     order: with max_workers None, one column to each client in turn; with
-    k workers, one task per leaf, k at a time (k = 1: in the calling thread),
-    hands b-wide slices to process_batch, the last one partial, and returns
-    its estimate. A non-finite entry raises ValueError from its batch's fold.
+    k workers, one task per leaf, k at a time on a thread pool, hands
+    b-wide slices to process_batch, the last one partial, and returns its
+    estimate. A non-finite entry raises ValueError from its batch's fold.
     """
     if len(streams) != tree.leaf_count:
         raise ValueError(f"got {len(streams)} streams for {tree.leaf_count} leaves")
@@ -180,8 +180,6 @@ def run_federation(
                 if t < m.shape[1]:
                     client.observe(m[:, t])
         leaves = [c.finalize() for c in clients]
-    elif max_workers == 1:
-        leaves = [leaf(i) for i in range(tree.leaf_count)]
     else:
         with ThreadPoolExecutor(max_workers) as pool:
             leaves = list(pool.map(leaf, range(tree.leaf_count)))

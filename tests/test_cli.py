@@ -13,7 +13,8 @@ import pytest
 
 from fedpca import _blas, cli
 from fedpca.cli import EPSILON_FLOOR, build_parser, main, resolve_params
-from fedpca.datasets import load_csv, synth, synth_gaussian_cov, unit_ball_factor
+from fedpca.datasets import (load_csv, save_matrix_csv, synth, synth_gaussian_cov,
+                             unit_ball_factor)
 from fedpca.federation import FederationConfig, build_tree, depth_error_probe, run_federation
 from fedpca.privacy import DpConfig
 
@@ -438,6 +439,47 @@ class TestReplay:
                "--out", str(first))
         fedpca(2, "replay", str(first / "manifest.txt"), "--out", str(second))
         assert (first / "metrics.csv").read_bytes() == (second / "metrics.csv").read_bytes()
+
+    # the runs the CI workflow's console-script step replays, at its sizes;
+    # test_replay_at_another_blas_thread_count makes its d = 256 run
+    @pytest.mark.parametrize("command", [
+        "run-edge --d 8 --n 40 --no-dp",
+        "run-federated --d 8 --n 80 --leaves 4 --no-dp",
+        "run-edge --d 8 --n 40 --epsilon 1 --normalize unit-ball",
+        "run-edge --data {columns} --rank 4 --no-dp",
+        "run-edge --data {rows} --orientation rows --rank 4 --epsilon 1 --normalize unit-ball",
+        "run-edge --d 8 --n 40 --epsilon 1 --normalize unit-ball --cov-block 3",
+        "run-federated --d 8 --n 80 --leaves 4 --epsilon 1 --normalize unit-ball "
+        "--rescale-private",
+        "run-federated --generator gauss --d 20 --n 4000 --leaves 8 --fanout 2 --rank 5 "
+        "--batch 500 --epsilon 4 --delta 0.1 --normalize unit-ball --policy round_robin --seed 3",
+        "run-federated --d 8 --n 80 --leaves 4 --no-dp --policy round_robin",
+        "run-federated --d 8 --n 80 --leaves 4 --epsilon 1 --normalize unit-ball "
+        "--policy round_robin",
+        "run-federated --d 8 --n 80 --leaves 4 --no-dp --policy seeded_shuffle",
+        "run-federated --d 8 --n 80 --leaves 4 --epsilon 1 --normalize unit-ball "
+        "--policy seeded_shuffle",
+        "utility-sweep --d 6 --n 80 --rank 2 --alphas 0.5 --epsilons 0.5,1.0 --reps 2",
+        "depth-probe --d 16 --n 64 --rank 4 --depths 1,2",
+        "depth-probe --d 16 --n 2048 --rank 4 --depths 1,2,3",
+        "depth-probe --d 16 --n 2048 --rank 16 --alpha 4 --depths 1,2,3",
+        "depth-probe --d 128 --n 256 --rank 128 --generator gauss --seed 1",
+    ])
+    def test_console_step_run_replays(self, tmp_path, command):
+        # --data files: synth's matrix as written, then its transpose, one
+        # sample per row, scaled so that --normalize divides it
+        run_ok(["synth", "--d", "12", "--n", "300", "--seed", "4", "--out", str(tmp_path / "m")])
+        columns = tmp_path / "m" / "matrix.csv"
+        rows = tmp_path / "rows.csv"
+        save_matrix_csv(rows, 10 * load_csv(columns).T)
+        argv = [arg.format(columns=columns, rows=rows) for arg in command.split()]
+        first, second = tmp_path / "one", tmp_path / "two"
+        run_ok(argv + ["--out", str(first)])
+        run_ok(["replay", str(first / "manifest.txt"), "--out", str(second)])
+        assert (first / "metrics.csv").read_bytes() == (second / "metrics.csv").read_bytes()
+        if argv[0] == "depth-probe":
+            flags = [r["value"] for r in read_metrics(first, "within_bound")]
+            assert flags and all(v == "1.0" for v in flags)
 
     def test_manifest_without_command_exit_2(self, tmp_path):
         stray = tmp_path / "manifest.txt"

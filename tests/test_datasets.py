@@ -143,6 +143,7 @@ class TestCsvRoundTrip:
         for text in (
             "f1,f2,f3\n1.0,2.0,3.0\n4.0,5.0,6.0\n",
             "\ufefff1,f2,f3\r\n1.0,2.0,3.0\r\n4.0,5.0,6.0\r\n",  # BOM, header, CRLF
+            "f1,f2,f3\r1.0,2.0,3.0\r4.0,5.0,6.0\r",  # CR alone
             '"f1","f2","f3"\n"1.0","2.0",3.0\n4.0, 5.0 ," 6.0"\n',  # quoted and padded cells
             # blank, whitespace-only, comma-only and empty-quoted lines
             "f1,f2,f3\n\n   \n,,\n1.0,2.0,3.0\n , ,\t\n\"\",\"\"\n4.0,5.0,6.0\n\n",
@@ -190,8 +191,10 @@ class TestCsvRoundTrip:
             # Python's float reads these two cells, numpy's parser does not
             ("1,2\n3,1_000\n", 2),
             ("1,2\n3,١\n", 2),
+            # the first fault in file order, though line 3 is not UTF-8
+            ("1,2\n3,oops\n\udce9,1\n", 2),
         ):
-            p.write_text(text, encoding="utf-8")
+            p.write_bytes(text.encode("utf-8", "surrogateescape"))
             with pytest.raises(DataError, match=f"non-numeric cell on line {line}$"):
                 load_csv(p)
 
@@ -218,10 +221,12 @@ class TestCsvRoundTrip:
                 load_csv(p)
 
     def test_undecodable_file_raises_the_decoding_error(self, tmp_path):
-        # the decoder reads ahead in chunks; the line is counted in the bytes
+        # the decoder reads ahead in chunks, but the line is named as it is read,
+        # even a line of only commas that carries no cell
         p = tmp_path / "latin1.csv"
         for data, line in ((b"1,2\n\xe9,3\n", 2), (b"1,2\n" * 5000 + b"\xe9", 5001),
-                           (b"\xef\xbb\xbfa,b\n" + b"1,2\n" * 3000 + b"3,\xe9\n", 3002)):
+                           (b"\xef\xbb\xbfa,b\n" + b"1,2\n" * 3000 + b"3,\xe9\n", 3002),
+                           (b"1,2\n\xff,,\n3,4\n", 2)):
             p.write_bytes(data)
             with pytest.raises(DataError, match=f"latin1.csv: line {line} is not UTF-8$"):
                 load_csv(p)
@@ -254,7 +259,7 @@ class TestCsvRoundTrip:
         data=st.data(),
         header=st.booleans(),
         blanks=st.lists(st.tuples(st.integers(0, 10), st.sampled_from(["", "  ", ",,", " , ,\t"]))),
-        newline=st.sampled_from(["\n", "\r\n"]),
+        newline=st.sampled_from(["\n", "\r\n", "\r"]),
         bom=st.booleans(),
         orientation=st.sampled_from(["columns", "rows"]),
     )

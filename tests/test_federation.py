@@ -51,7 +51,7 @@ def assert_every_order_gives_the_federation_root(y, cfg):
     # uneven shares and one empty client, so the interleavings really differ
     streams = [y[:, :37], np.zeros((y.shape[0], 0)), y[:, 37:61], y[:, 61:]]
     tree = build_tree(len(streams), 3)
-    # round-robin columns, leaf tasks in the calling thread, leaf tasks on a pool
+    # round-robin columns, leaf tasks on one worker, leaf tasks on four
     roots = [run_federation(streams, tree, cfg, k).estimate for k in (None, 1, 4)]
     for schedule in SCHEDULES:
         for seed in (0, 99):
