@@ -1,8 +1,8 @@
 """Synthetic data, CSV ingestion, and stream partitioning.
 
 Samples are columns everywhere inside the package; the CSV loader accepts
-either orientation and transposes on the way in. Generation is fully
-deterministic given the seed: the same arguments always yield the same bytes.
+either orientation and transposes on the way in. Generation is seeded, and its
+bytes are fixed at a given BLAS thread count: each ``fedpca`` command uses one.
 One rule puts columns inside the unit ball: divide by :func:`unit_ball_factor`.
 """
 
@@ -18,10 +18,9 @@ import numpy as np
 from .linalg import as_matrix, ensure_matrix
 
 
-# Columns shaped per product in synth_gaussian_cov; the generator's only
-# temporary is d x GENERATE_BLOCK (under 1.5 times that for the last block).
-# Each product re-packs the d x d shaper, a cost that falls as 1/block.
-# unit_ball_factor checks its scaled column norms in blocks of this width.
+# Columns shaped per product in synth_gaussian_cov; each product re-packs the
+# d x d shaper, a cost that falls as 1/block. unit_ball_factor checks its
+# scaled column norms in blocks of this width.
 GENERATE_BLOCK = 1024
 
 
@@ -49,8 +48,7 @@ def synth(d: int, n: int, alpha: float, seed: int) -> np.ndarray:
 
     Left factors come from the QR of a seeded d x d Gaussian draw, right
     factors from the QR of a seeded Gaussian with min(d, n) columns (the
-    economy-size slice of the square draw when n exceeds d). Bit-identical
-    across runs for fixed arguments.
+    economy-size slice of the square draw when n exceeds d).
     """
     _check_synth_args(d, n, alpha)
     rng = np.random.default_rng(seed)
@@ -91,10 +89,10 @@ def load_csv(path, orientation: str = "columns") -> np.ndarray:
 
     orientation "columns" takes the file as the matrix itself (rows are
     features); "rows" means each CSV row is one sample and the result is
-    transposed. Lines may end in \\n, \\r\\n or \\r. A non-numeric line 1 is
-    a header and is skipped, and so are lines of only commas, quotes and
-    whitespace. A cell may be quoted or padded with spaces; underscores and
-    non-ASCII digits are not numbers.
+    transposed. Lines end in \\n, \\r\\n or \\r; cells may be quoted or padded
+    with spaces. Line 1 is a header when none of its cells reads as a Python
+    float. ``1_000`` and ``١`` do, keeping line 1 as data for numpy to reject.
+    Lines of only commas, quotes and whitespace are skipped, as is a header.
 
     Raises:
         DataError: empty file, bytes that are not UTF-8, ragged rows,
@@ -104,36 +102,38 @@ def load_csv(path, orientation: str = "columns") -> np.ndarray:
     if orientation not in ("columns", "rows"):
         raise ValueError(f"unknown orientation {orientation!r}")
 
-    def cell_lines(fh, skip, rows):
+    def is_number(cell: str) -> bool:
+        try:
+            float(cell.strip().strip('"'))
+        except ValueError:
+            return False
+        return True
+
+    def cell_lines(fh, rows):
         # numpy pulls one line at a time: the line it rejects is rows[-1]
         for line_no, line in enumerate(fh, start=1):
-            if not line.isascii():
-                try:
-                    line.encode()  # a byte that is not UTF-8 was decoded to a lone surrogate
-                except UnicodeEncodeError:
-                    raise DataError(f"{path}: line {line_no} is not UTF-8") from None
-            if line_no > skip and re.search(r'[^\s,"]', line):
+            # surrogateescape decodes a byte that is not UTF-8 to U+DC80..U+DCFF
+            if not line.isascii() and re.search("[\udc80-\udcff]", line):
+                raise DataError(f"{path}: line {line_no} is not UTF-8")
+            header = line_no == 1 and not any(map(is_number, line.split(",")))
+            if not header and re.search(r'[^\s,"]', line):
                 rows.append(line_no)
                 yield line
         if not rows:
             raise DataError(f"{path}: no numeric rows")
 
-    for skip in (0, 1):  # a non-numeric line 1 is a header: read again without it
-        rows = array("q")  # the file line of each row handed to numpy
-        with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
-            try:
-                matrix = np.loadtxt(cell_lines(fh, skip, rows), delimiter=",", quotechar='"',
-                                    comments=None, ndmin=2)
-                break
-            except ValueError as exc:
-                if type(exc) is not ValueError:
-                    raise  # a DataError from cell_lines
-                ragged = re.search(r"columns changed from (\d+) to (\d+)", str(exc))
-                if ragged:
-                    raise DataError(f"{path}: line {rows[-1]} has {ragged[2]} cells, "
-                                    f"expected {ragged[1]}") from None
-                if rows[-1] > 1 or skip:
-                    raise DataError(f"{path}: non-numeric cell on line {rows[-1]}") from None
+    rows = array("q")  # the file line of each row handed to numpy
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
+        try:
+            matrix = np.loadtxt(cell_lines(fh, rows), delimiter=",", quotechar='"',
+                                comments=None, ndmin=2)
+        except ValueError as exc:
+            if type(exc) is not ValueError:
+                raise  # a DataError from cell_lines
+            ragged = re.search(r"columns changed from (\d+) to (\d+)", str(exc))
+            fault = (f"line {rows[-1]} has {ragged[2]} cells, expected {ragged[1]}" if ragged
+                     else f"non-numeric cell on line {rows[-1]}")
+            raise DataError(f"{path}: {fault}") from None
     finite = np.isfinite(matrix).all(axis=1)
     if not finite.all():
         raise DataError(f"{path}: non-finite cell on line {rows[int(np.argmin(finite))]}")
@@ -166,8 +166,7 @@ def unit_ball_factor(x) -> float:
 
 def save_matrix_csv(path, x) -> None:
     """Write a matrix as CSV with 17 significant digits (lossless for float64)."""
-    m = ensure_matrix(x)
-    np.savetxt(path, m, delimiter=",", fmt="%.17g")
+    np.savetxt(path, ensure_matrix(x), delimiter=",", fmt="%.17g")
 
 
 @dataclass(frozen=True, eq=False)

@@ -172,6 +172,13 @@ class TestRunEdge:
         assert main(["run-edge", "--data", str(bad), "--no-dp", "--out", str(tmp_path / "o")]) == 3
         assert "non-numeric cell on line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["1_0,2\n3,4\n", "1,2,\n3,4,\n"])
+    def test_bad_first_row_is_no_header_exit_3(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        assert main(["run-edge", "--data", str(bad), "--no-dp", "--out", str(tmp_path / "o")]) == 3
+        assert "non-numeric cell on line 1" in capsys.readouterr().err
+
     def test_non_utf8_csv_exit_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_bytes(b"1,2\n" * 5000 + b"\xe9")
@@ -448,6 +455,7 @@ class TestReplay:
         "run-edge --d 8 --n 40 --epsilon 1 --normalize unit-ball",
         "run-edge --data {columns} --rank 4 --no-dp",
         "run-edge --data {rows} --orientation rows --rank 4 --epsilon 1 --normalize unit-ball",
+        "run-edge --data {headed} --orientation rows --no-dp",
         "run-edge --d 8 --n 40 --epsilon 1 --normalize unit-ball --cov-block 3",
         "run-federated --d 8 --n 80 --leaves 4 --epsilon 1 --normalize unit-ball "
         "--rescale-private",
@@ -467,12 +475,16 @@ class TestReplay:
     ])
     def test_console_step_run_replays(self, tmp_path, command):
         # --data files: synth's matrix as written, then its transpose, one
-        # sample per row, scaled so that --normalize divides it
+        # sample per row, scaled so that --normalize divides it, and the
+        # transpose unscaled below a c0,c1,... header
         run_ok(["synth", "--d", "12", "--n", "300", "--seed", "4", "--out", str(tmp_path / "m")])
         columns = tmp_path / "m" / "matrix.csv"
-        rows = tmp_path / "rows.csv"
-        save_matrix_csv(rows, 10 * load_csv(columns).T)
-        argv = [arg.format(columns=columns, rows=rows) for arg in command.split()]
+        rows, headed = tmp_path / "rows.csv", tmp_path / "headed.csv"
+        samples = load_csv(columns).T
+        save_matrix_csv(rows, 10 * samples)
+        np.savetxt(headed, samples, delimiter=",", fmt="%.17g",
+                   header=",".join(f"c{j}" for j in range(12)), comments="")
+        argv = [arg.format(columns=columns, rows=rows, headed=headed) for arg in command.split()]
         first, second = tmp_path / "one", tmp_path / "two"
         run_ok(argv + ["--out", str(first)])
         run_ok(["replay", str(first / "manifest.txt"), "--out", str(second)])

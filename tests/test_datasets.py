@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedpca import datasets
 from fedpca.datasets import (
     GENERATE_BLOCK,
     DataError,
@@ -193,6 +194,10 @@ class TestCsvRoundTrip:
             ("1,2\n3,١\n", 2),
             # the first fault in file order, though line 3 is not UTF-8
             ("1,2\n3,oops\n\udce9,1\n", 2),
+            # Python's float reads 1_0, so line 1 is data, not a header
+            ("1_0,2\n3,4\n", 1),
+            # a trailing comma leaves an empty cell on the first line that has one
+            ("1,2,\n3,4,\n", 1),
         ):
             p.write_bytes(text.encode("utf-8", "surrogateescape"))
             with pytest.raises(DataError, match=f"non-numeric cell on line {line}$"):
@@ -230,6 +235,20 @@ class TestCsvRoundTrip:
             p.write_bytes(data)
             with pytest.raises(DataError, match=f"latin1.csv: line {line} is not UTF-8$"):
                 load_csv(p)
+
+    @pytest.mark.parametrize("text", ["c0,c1\n1,2\n3,4\n", "1,2\n3,4\n"])
+    def test_file_opened_once(self, tmp_path, monkeypatch, text):
+        p = tmp_path / "once.csv"
+        p.write_text(text)
+        opened = []
+
+        def counting_open(*args, **kwargs):
+            opened.append(args[0])
+            return open(*args, **kwargs)
+
+        monkeypatch.setattr(datasets, "open", counting_open, raising=False)
+        assert np.array_equal(load_csv(p), [[1, 2], [3, 4]])
+        assert opened == [p]
 
     def test_bom_tolerated(self, tmp_path):
         p = tmp_path / "bom.csv"

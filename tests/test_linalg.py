@@ -314,6 +314,26 @@ class TestMerge:
         assert np.max(np.abs(gram - np.eye(out.rank))) < 1e-10 * d
         assert np.all(np.diff(out.values) <= 1e-12)
 
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("d", [400, 100, 20])
+    def test_bits_do_not_depend_on_input_signs(self, d, seed):
+        # Householder reflectors are sign-equivariant in IEEE arithmetic: a
+        # negated panel column negates a column of the right factor only, so
+        # a summary that feeds merge alone may keep LAPACK's raw signs
+        rng = np.random.default_rng(seed)
+        y = rng.standard_normal((d, 60))
+        est = subspace_of(y[:, :10], 10)
+        u, s, _ = np.linalg.svd(y[:, 10:], full_matrices=False)
+        raw = SubspaceEstimate(u, s)  # LAPACK's signs
+        fixed = truncated_svd(y[:, 10:], s.size)  # _fix_signs' signs
+        flips = np.where(rng.random(10) < 0.5, -1.0, 1.0)
+        flipped = SubspaceEstimate(est.basis * flips, est.values)
+        want = merge(est, fixed, 10)
+        for s1, s2 in ((est, raw), (flipped, fixed), (flipped, raw)):
+            got = merge(s1, s2, 10)
+            assert got.basis.tobytes() == want.basis.tobytes()
+            assert got.values.tobytes() == want.values.tobytes()
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             merge(random_estimate(0, 6, 2), random_estimate(0, 7, 2), 2)
