@@ -323,14 +323,15 @@ def cmd_run_federated(params: dict, out_dir: Path, log: MetricLog, timing: Metri
     result = run_federation(streams, tree, cfg, workers)
     for i, value in enumerate(result.estimate.values):
         log.add("global_value", value, t=i)
-    log.add("merge_count", result.merge_count)
+    # a tree takes leaves - 1 merges, empty leaves included
+    log.add("merge_count", leaves - 1)
     for level, ranks in enumerate(result.per_level_ranks):
         for node_idx, r in enumerate(ranks):
             log.add("level_rank", r, t=level, node=node_idx)
 
     counts = ",".join(str(math.ceil(len(a) / params["batch"])) for a in partition.assignments)
     meta.append(f"client_batches={counts}")
-    meta.append(f"tree depth={tree.depth} merges={result.merge_count}")
+    meta.append(f"tree depth={tree.depth} merges={leaves - 1}")
     return meta
 
 

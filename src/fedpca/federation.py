@@ -25,7 +25,6 @@ from .privacy import DpConfig, derive_rng
 
 @dataclass(frozen=True)
 class TreeNode:
-    node_id: int
     children: tuple[int, ...] = ()
 
     @property
@@ -35,10 +34,12 @@ class TreeNode:
 
 @dataclass(frozen=True)
 class FederationTree:
-    """Balanced l-ary merge tree; levels[0] holds the leaf ids in order."""
+    """Balanced l-ary merge tree; levels[0] holds the leaf ids in order.
+
+    A node's id is its index in nodes; the tree takes leaf_count - 1 merges.
+    """
 
     leaf_count: int
-    fanout: int
     depth: int
     nodes: tuple[TreeNode, ...]
     levels: tuple[tuple[int, ...], ...]
@@ -58,22 +59,17 @@ def build_tree(leaf_count: int, fanout: int) -> FederationTree:
         raise ValueError("leaf_count must be positive")
     if fanout < 2:
         raise ValueError("fanout must be at least 2")
-    nodes = [TreeNode(i) for i in range(leaf_count)]
+    nodes = [TreeNode()] * leaf_count
     levels = [tuple(range(leaf_count))]
     current = list(range(leaf_count))
-    next_id = leaf_count
     while len(current) > 1:
         parents = []
         for start in range(0, len(current), fanout):
-            group = tuple(current[start : start + fanout])
-            nodes.append(TreeNode(next_id, group))
-            parents.append(next_id)
-            next_id += 1
+            parents.append(len(nodes))
+            nodes.append(TreeNode(tuple(current[start : start + fanout])))
         levels.append(tuple(parents))
         current = parents
-    return FederationTree(
-        leaf_count, fanout, len(levels) - 1, tuple(nodes), tuple(map(tuple, levels))
-    )
+    return FederationTree(leaf_count, len(levels) - 1, tuple(nodes), tuple(levels))
 
 
 @dataclass(frozen=True)
@@ -107,7 +103,6 @@ class FederationConfig:
 @dataclass(frozen=True)
 class GlobalEstimate:
     estimate: SubspaceEstimate
-    merge_count: int
     per_level_ranks: tuple[tuple[int, ...], ...] = field(default_factory=tuple)
 
 
@@ -135,14 +130,12 @@ def _aggregate_tree(
     """Merge the leaf estimates up ``tree`` level by level, truncating to rank r."""
     estimates = dict(enumerate(leaves))
     per_level = [tuple(e.rank for e in leaves)]
-    merges = 0
     for level in tree.levels[1:]:
         for node_id in level:
             kids = [estimates[c] for c in tree.nodes[node_id].children]
             estimates[node_id] = aggregate_once(kids, r)
-            merges += len(kids) - 1
         per_level.append(tuple(estimates[i].rank for i in level))
-    return GlobalEstimate(estimates[tree.root], merges, tuple(per_level))
+    return GlobalEstimate(estimates[tree.root], tuple(per_level))
 
 
 def run_federation(

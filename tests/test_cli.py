@@ -370,6 +370,13 @@ class TestRunFederated:
         assert float(read_metrics(out, "merge_count")[0]["value"]) == 7.0
         levels = {int(r["t"]) for r in read_metrics(out, "level_rank")}
         assert levels == {0, 1, 2, 3}
+        # an under-full tree with an empty leaf: nodes of 3 and 2 children
+        # and a root of 2 take 2 + 1 + 1 merges, one fewer than the leaves
+        out = tmp_path / "u"
+        run_ok(["run-federated", "--d", "6", "--n", "4", "--leaves", "5",
+                "--fanout", "3", "--no-dp", "--out", str(out)])
+        assert float(read_metrics(out, "merge_count")[0]["value"]) == 4.0
+        assert "# tree depth=2 merges=4" in manifest_lines(out / "manifest.txt")
 
 
 def test_manifests_record_update_blas_threads(tmp_path):

@@ -1,3 +1,4 @@
+import contextlib
 import sys
 import tracemalloc
 
@@ -6,9 +7,10 @@ import pytest
 
 from fedpca import accounting, linalg
 from fedpca.edge import EdgeClient, EnergyBounds, adjust_rank, energy_ratio, ssvd
+from fedpca.federation import FederationConfig, build_tree, run_federation
 from fedpca.linalg import SubspaceEstimate, subspace_of, truncated_svd
 from fedpca.privacy import DpConfig, PrivacyInfeasibleError, derive_rng, omega_streaming
-from oracles import BAD_ENTRIES, bad_batch, projector_distance
+from oracles import BAD_ENTRIES, bad_batch, jacobi_svd, projector_distance
 
 NON_FINITE = [np.nan, np.inf, -np.inf]
 
@@ -240,6 +242,107 @@ class TestEdgeClientPlain:
             EdgeClient(dim=4, rank=2, forgetting=0.0)
         with pytest.raises(ValueError):
             EdgeClient(dim=4, rank=2, dp=DpConfig(1.0, 0.1))  # rng missing
+
+
+def low_rank(rng, d, n, values):
+    """A d x n matrix whose nonzero singular values are ``values``."""
+    u = np.linalg.qr(rng.standard_normal((d, len(values))))[0]
+    v = np.linalg.qr(rng.standard_normal((n, len(values))))[0]
+    return (u * np.asarray(values)) @ v.T
+
+
+def stream(y, r, b, forgetting=1.0):
+    """One plain client fed y in b-wide slices; returns (estimate, folds)."""
+    warns = (pytest.warns(UserWarning, match="below the target rank") if b < r
+             else contextlib.nullcontext())
+    with warns:
+        client = EdgeClient(dim=y.shape[0], rank=r, batch_size=b, forgetting=forgetting)
+    for lo in range(0, y.shape[1], b):
+        client.process_batch(y[:, lo : lo + b])
+    return client.estimate, client.blocks_seen
+
+
+def graded(rng):
+    y = low_rank(rng, 20, 120, 10.0 * np.logspace(0, -8, 10))  # kappa = 1e8
+    return (*stream(y, 10, 20), y)
+
+
+def rank2_at_r5(rng):
+    y = low_rank(rng, 12, 60, [3.0, 1.0])
+    return (*stream(y, 5, 10), y)
+
+
+def zero_batch_mid_stream(rng):
+    y = low_rank(rng, 10, 50, [4.0, 2.0, 1.0])
+    y[:, 20:30] = 0.0
+    return (*stream(y, 4, 10), y)
+
+
+def batch_below_rank(rng):
+    y = low_rank(rng, 10, 30, [5.0, 3.0, 2.0, 1.0])
+    return (*stream(y, 6, 3), y)
+
+
+def batch_wider_than_d(rng):
+    y = rng.standard_normal((4, 50))
+    return (*stream(y, 4, 12), y)
+
+
+def one_dimension(rng):
+    y = rng.standard_normal((1, 23))
+    return (*stream(y, 1, 5), y)
+
+
+def discounted(rng):
+    y = rng.standard_normal((8, 40))
+    batch = np.arange(40) // 8
+    return (*stream(y, 8, 8, forgetting=0.9), y * 0.9 ** (batch[-1] - batch))
+
+
+def empty_leaf(workers):
+    def case(rng):
+        y = low_rank(rng, 8, 60, [4.0, 3.0, 2.0, 1.0, 0.5])
+        cfg = FederationConfig(rank=6, batch_size=10)
+        out = run_federation([y[:, :25], y[:, 25:25], y[:, 25:]], build_tree(3, 2),
+                             cfg, max_workers=workers)
+        return out.estimate, 3 + 4 + 2, y  # the leaves' batches, then two merges
+    return case
+
+
+def long_stream(rng):
+    y = low_rank(rng, 30, 60_000, [5.0, 4.0, 3.0, 2.0, 1.0])
+    return (*stream(y, 5, 6), y)
+
+
+HARD_INPUTS = {
+    "graded-kappa-1e8": graded,
+    "rank2-at-r5": rank2_at_r5,
+    "zero-batch-mid-stream": zero_batch_mid_stream,
+    "b3-below-r6": batch_below_rank,
+    "b-wider-than-d": batch_wider_than_d,
+    "d1": one_dimension,
+    "forgetting-0.9": discounted,
+    "empty-leaf-1-worker": empty_leaf(1),
+    "empty-leaf-2-workers": empty_leaf(2),
+    "1e4-folds": long_stream,
+}
+
+
+@pytest.mark.parametrize("case", HARD_INPUTS)
+def test_hard_inputs_stream_exactly(case):
+    """With r at or above the data's rank, a plain stream is its offline SVD.
+
+    Every value is within 64 eps s_1 per fold of the one-sided Jacobi values
+    of the (weighted) concatenation, and the basis is orthonormal.
+    """
+    est, folds, y = HARD_INPUTS[case](np.random.default_rng(26))
+    assert est.rank > 0
+    want = jacobi_svd(y.T if y.shape[1] > y.shape[0] else y)[1]
+    got = np.zeros(want.size)
+    got[: est.rank] = est.values
+    assert np.max(np.abs(got - want)) <= 64 * np.finfo(float).eps * want[0] * folds
+    gram = est.basis.T @ est.basis
+    assert np.max(np.abs(gram - np.eye(est.rank))) <= linalg.ORTHO_TOL * est.dim
 
 
 class TestUpdateMemory:
