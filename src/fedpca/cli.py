@@ -8,8 +8,9 @@ result, and `fedpca replay manifest.txt --out DIR` re-runs it. Replayed
 runs reproduce metrics.csv and matrix.csv byte for byte (timings.csv is
 wall-clock and excluded from that promise).
 
-Exit codes: 0 success, 2 configuration error, 3 data or file error, 4 the
-privacy budget cannot be met at the configured batch width.
+Exit codes: 0 success, 2 configuration error (sizes too large to allocate
+included), 3 data or file error, 4 the privacy budget cannot be met at the
+configured batch width.
 """
 
 from __future__ import annotations
@@ -364,6 +365,8 @@ def _sweep_estimators(
     cov = (x @ x.T) / n + symmetric_gaussian_mask(d, omega_sym, rngs[2])
     _, vecs = np.linalg.eigh(cov)
     v_sym = vecs[:, -1]
+    if v_sym[np.argmax(np.abs(v_sym))] < 0:  # truncated_svd's sign convention
+        v_sym = -v_sym
 
     return {"fpca_mask": v_fpca, "stream_direct": v_direct, "sulq_symmetric": v_sym}
 
@@ -568,6 +571,10 @@ def main(argv=None) -> int:
         return 3
     except (ConfigError, CalibrationError, ValueError) as exc:
         print(f"fedpca: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # e.g. --leaves 2**63 - 1, whose shares no list can hold
+        detail = f" ({exc})" if str(exc) else ""
+        print(f"fedpca: the configured sizes do not fit in memory{detail}", file=sys.stderr)
         return 2
     return 0
 

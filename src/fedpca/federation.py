@@ -1,17 +1,19 @@
 """Aggregation of client subspaces over a balanced tree.
 
 Clients sit at the leaves of an l-ary tree and stream their columns
-independently; aggregators merge child summaries pairwise, left to right,
-level by level. Because clients never interact before aggregation, the
-global result is invariant to how their observations interleave; the tests
-check this by replaying seeded interleavings against run_federation.
+independently; aggregators merge child summaries level by level. A node
+with two children gives the same bits in either child order; a node with
+more children still folds them in order. Because clients never interact
+before aggregation, the global result is invariant to how their
+observations interleave; the tests check this by replaying seeded
+interleavings against run_federation.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -36,10 +38,9 @@ class TreeNode:
 class FederationTree:
     """Balanced l-ary merge tree; levels[0] holds the leaf ids in order.
 
-    A node's id is its index in nodes; the tree takes leaf_count - 1 merges.
+    A node's id is its index in nodes; a tree of m leaves takes m - 1 merges.
     """
 
-    leaf_count: int
     depth: int
     nodes: tuple[TreeNode, ...]
     levels: tuple[tuple[int, ...], ...]
@@ -61,15 +62,13 @@ def build_tree(leaf_count: int, fanout: int) -> FederationTree:
         raise ValueError("fanout must be at least 2")
     nodes = [TreeNode()] * leaf_count
     levels = [tuple(range(leaf_count))]
-    current = list(range(leaf_count))
-    while len(current) > 1:
+    while len(levels[-1]) > 1:
         parents = []
-        for start in range(0, len(current), fanout):
+        for start in range(0, len(levels[-1]), fanout):
             parents.append(len(nodes))
-            nodes.append(TreeNode(tuple(current[start : start + fanout])))
+            nodes.append(TreeNode(levels[-1][start : start + fanout]))
         levels.append(tuple(parents))
-        current = parents
-    return FederationTree(leaf_count, len(levels) - 1, tuple(nodes), tuple(levels))
+    return FederationTree(len(levels) - 1, tuple(nodes), tuple(levels))
 
 
 @dataclass(frozen=True)
@@ -103,19 +102,18 @@ class FederationConfig:
 @dataclass(frozen=True)
 class GlobalEstimate:
     estimate: SubspaceEstimate
-    per_level_ranks: tuple[tuple[int, ...], ...] = field(default_factory=tuple)
+    per_level_ranks: tuple[tuple[int, ...], ...]
 
 
 def aggregate_once(children: Sequence[SubspaceEstimate], r: int) -> SubspaceEstimate:
-    """Left-to-right merge of child estimates, truncated to rank r.
+    """Merge of child estimates, truncated to rank r.
 
-    Empty children are neutral; a single child is simply truncated.
+    Two children merge to the same bits in either order; more children are
+    folded in list order. Empty children are neutral; a single child is
+    simply truncated.
     """
     if not children:
         raise ValueError("aggregate_once needs at least one child")
-    dims = {c.dim for c in children}
-    if len(dims) != 1:
-        raise ValueError("children live in different ambient dimensions")
     acc = children[0]
     # rank-r merges are too small for a BLAS thread team to pay off
     with single_thread():
@@ -152,8 +150,8 @@ def run_federation(
     b-wide slices to process_batch, the last one partial, and returns its
     estimate. A non-finite entry raises ValueError from its batch's fold.
     """
-    if len(streams) != tree.leaf_count:
-        raise ValueError(f"got {len(streams)} streams for {tree.leaf_count} leaves")
+    if len(streams) != len(tree.levels[0]):
+        raise ValueError(f"got {len(streams)} streams for {len(tree.levels[0])} leaves")
     mats = [np.asarray(s, dtype=np.float64) for s in streams]
     for i, m in enumerate(mats):
         if m.ndim != 2 or m.shape[0] != mats[0].shape[0]:
@@ -175,7 +173,7 @@ def run_federation(
         leaves = [c.finalize() for c in clients]
     else:
         with ThreadPoolExecutor(max_workers) as pool:
-            leaves = list(pool.map(leaf, range(tree.leaf_count)))
+            leaves = list(pool.map(leaf, range(len(mats))))
     return _aggregate_tree(leaves, tree, cfg.rank)
 
 

@@ -73,15 +73,15 @@ def _nonzero_count(values: np.ndarray, dim_max: int) -> int:
     return keep
 
 
-def _check_orthonormal(u: np.ndarray, tol_scale: float, what: str) -> None:
+def _check_orthonormal(u: np.ndarray) -> None:
     r = u.shape[1]
     if r == 0:
         return
     gram = u.T @ u
     gram.flat[:: r + 1] -= 1.0  # gram - I in place, so the check holds one r x r array
     dev = float(np.abs(gram, out=gram).max())
-    if not dev <= ORTHO_TOL * tol_scale:  # nan or inf for a non-finite entry
-        raise ValueError(f"{what} is not column-orthonormal (deviation {dev:.3e})")
+    if not dev <= ORTHO_TOL * max(u.shape[0], 1):  # nan or inf for a non-finite entry
+        raise ValueError(f"basis is not column-orthonormal (deviation {dev:.3e})")
 
 
 @dataclass(frozen=True)
@@ -117,7 +117,7 @@ class SubspaceEstimate:
             raise ValueError("estimate contains non-finite values")
         if values[-1] < 0 or any(map(operator.lt, values, values[1:])):
             raise ValueError("values must be non-increasing and non-negative")
-        _check_orthonormal(basis, max(basis.shape[0], 1), "basis")
+        _check_orthonormal(basis)
 
     @classmethod
     @lru_cache(maxsize=128)
@@ -213,7 +213,9 @@ def merge(s1: SubspaceEstimate, s2: SubspaceEstimate, r: int) -> SubspaceEstimat
     [w1*U1*S1 | w2*U2*S2] is ``merge(s1.scaled(w1), s2.scaled(w2), r)``.
 
     The empty estimate is neutral: merging s with it returns s truncated
-    to r.
+    to r. The panel puts the estimate with the larger leading value first,
+    its values' and then its basis's bytes breaking an exact tie, so
+    ``merge(a, b)`` and ``merge(b, a)`` are bit-identical.
 
     At its peak a merge holds the panel and the two factors of its SVD.
     The panel is filled with ``einsum``, which gives the same bits as a
@@ -234,6 +236,10 @@ def merge(s1: SubspaceEstimate, s2: SubspaceEstimate, r: int) -> SubspaceEstimat
         return s2.truncated(r)
     if s2.rank == 0:
         return s1.truncated(r)
+    if s2.values[0] > s1.values[0] or s2.values[0] == s1.values[0] and (
+        s2.values.tobytes(), s2.basis.tobytes()
+    ) > (s1.values.tobytes(), s1.basis.tobytes()):
+        s1, s2 = s2, s1
 
     d, r1 = s1.dim, s1.rank
     a = np.empty((d, r1 + s2.rank))

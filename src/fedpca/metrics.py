@@ -67,7 +67,7 @@ def projection_error(y, basis) -> float:
     u = np.asarray(basis, dtype=np.float64)
     if u.ndim != 2 or u.shape[0] != m.shape[0]:
         raise ValueError("basis rows must match the data dimension")
-    _check_orthonormal(u, max(u.shape[0], 1), "basis")
+    _check_orthonormal(u)
     total = float(np.einsum("ij,ij->", m, m))
     if not math.isfinite(total):
         raise ValueError("data contains non-finite entries or its squares overflow")
@@ -92,7 +92,6 @@ def qa_overlap(v, v_hat, signed: bool = False) -> float:
 
 @dataclass(frozen=True)
 class MetricRow:
-    run_id: str
     t: Optional[int]
     metric: str
     value: float
@@ -114,7 +113,7 @@ class MetricLog:
         if not math.isfinite(val):
             raise ValueError(f"non-finite value for metric {metric!r}")
         encoded = json.dumps(params, sort_keys=True, separators=(",", ":"))
-        row = MetricRow(self.run_id, t, metric, val, encoded)
+        row = MetricRow(t, metric, val, encoded)
         with self._lock:
             self._rows.append(row)
 
@@ -129,5 +128,5 @@ class MetricLog:
             for row in self.rows():
                 t_field = "" if row.t is None else str(row.t)
                 writer.writerow(
-                    [row.run_id, t_field, row.metric, str(row.value), row.params]
+                    [self.run_id, t_field, row.metric, str(row.value), row.params]
                 )

@@ -101,11 +101,18 @@ def min_batch_size(dp: DpConfig, d: int, omega_floor: float) -> int:
     """Smallest batch width whose streaming noise scale stays <= omega_floor.
 
     Both terms of omega_streaming scale as 1/n, so the width is the n = 1
-    scale divided by omega_floor, rounded up.
+    scale divided by omega_floor, rounded up. A quotient that overflows
+    raises PrivacyInfeasibleError: no batch width is that wide.
     """
     if not omega_floor > 0:
         raise ValueError(f"omega_floor must be positive, got {omega_floor}")
-    return max(1, math.ceil(omega_streaming(dp, d, 1) / omega_floor))
+    width = omega_streaming(dp, d, 1) / omega_floor
+    if width == math.inf:
+        raise PrivacyInfeasibleError(
+            f"privacy-infeasible: omega_floor={omega_floor} is below the noise "
+            "scale of any batch width"
+        )
+    return max(1, math.ceil(width))
 
 
 def derive_rng(root_seed: int, *key: int) -> np.random.Generator:

@@ -598,6 +598,15 @@ class TestUtilitySweep:
         row = read_metrics(out, "qa_abs")[0]
         assert json.loads(row["params"])["eps_effective"] == EPSILON_FLOOR
 
+    def test_every_method_follows_the_true_vector_sign_without_dp(self, tmp_path):
+        # sulq_symmetric's eigh vector once kept LAPACK's sign: -1.0 in 3 of these 6 reps
+        out = tmp_path / "s"
+        run_ok(["utility-sweep", "--d", "6", "--n", "80", "--rank", "2", "--alphas", "0.5",
+                "--epsilons", "1.0", "--reps", "6", "--no-dp", "--out", str(out)])
+        rows = read_metrics(out, "qa_signed")
+        assert len(rows) == 18
+        assert all(float(r["value"]) >= 1.0 - 1e-9 for r in rows)
+
     def test_deterministic_given_seed(self, tmp_path):
         outs = []
         for name in ("x", "y"):
@@ -760,3 +769,91 @@ class TestSurface:
         got = resolve_params(command, argparse.Namespace(), {})
         assert got == DEFAULTS[command]
         assert [type(v) for v in got.values()] == [type(DEFAULTS[command][k]) for k in got]
+
+
+# One command per parameter, on a tiny base run; the extra flags make the
+# parameter matter (a private run for the budget, --adaptive for the band).
+_BASE = {
+    "run-edge": ["--d", "6", "--n", "40"],
+    "run-federated": ["--d", "6", "--n", "40", "--no-dp"],
+    "utility-sweep": ["--d", "6", "--n", "40", "--rank", "2", "--alphas", "1",
+                      "--epsilons", "1", "--reps", "1"],
+    "depth-probe": ["--d", "6", "--n", "40"],
+}
+_HOME = {"leaves": "run-federated", "fanout": "run-federated", "policy": "run-federated",
+         "alphas": "utility-sweep", "epsilons": "utility-sweep", "reps": "utility-sweep",
+         "depths": "depth-probe"}
+_PRIVATE = {"cov_block", "epsilon", "delta", "no_dp", "omega_floor", "rescale_private"}
+_BAND = {"energy_alpha", "energy_beta", "max_rank"}
+_LISTS = {"alphas", "epsilons", "depths"}
+# no valid count in the millions: a --reps or --leaves that large runs for real
+_HOSTILE = {
+    int: ["0", "-1", str(-2**63)],
+    float: ["nan", "inf", "-inf", "5e-324", "1e308"],
+    "list": ["", "one,two"],
+    "choice": ["sideways"],
+    "bool": ["maybe"],
+    "path": ["", "missing.csv"],
+}
+
+
+def _hostile_cases():
+    for name, row in cli.PARAMS.items():
+        command = _HOME.get(name, "run-edge")
+        base = list(_BASE[command])
+        if command == "run-edge":
+            base += ["--normalize", "unit-ball"] if name in _PRIVATE else ["--no-dp"]
+            base += ["--adaptive"] if name in _BAND else []
+        if row.choices is not None:
+            kind = "choice"
+        elif row.cast is cli._cast_bool:
+            kind = "bool"  # a valueless flag: the value comes from a config file
+        elif name in _LISTS:
+            kind = "list"
+        elif row.cast is str:
+            kind = "path"
+        else:
+            kind = row.cast
+        for value in _HOSTILE[kind]:
+            yield pytest.param(command, base, name, value, id=f"{name}={value}")
+
+
+class TestHostileValues:
+    """No parameter value ends in a traceback, an undocumented exit code or a stray --out."""
+
+    @staticmethod
+    def _run(argv, tmp_path, capsys):
+        out = tmp_path / "o"
+        try:
+            code = main(argv + ["--out", str(out)])
+        except SystemExit as exc:  # argparse rejects the value before a run starts
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3, 4), err
+        assert "Traceback" not in err
+        assert out.exists() == (code == 0)
+        return code, err
+
+    @pytest.mark.parametrize("command, base, name, value", _hostile_cases())
+    def test_parameter_value(self, tmp_path, capsys, command, base, name, value):
+        if cli.PARAMS[name].cast is cli._cast_bool:
+            config = tmp_path / "c.txt"
+            config.write_text(f"{name}={value}\n")
+            argv = [command, *base, "--config", str(config)]
+        else:
+            flag = cli.PARAMS[name].flag or "--" + name.replace("_", "-")
+            if value == "missing.csv":
+                value = str(tmp_path / value)
+            argv = [command, *base, f"{flag}={value}"]
+        self._run(argv, tmp_path, capsys)
+
+    @pytest.mark.parametrize("argv, code, message", [
+        (["run-edge", "--d", "6", "--n", "40", "--epsilon", "1", "--normalize", "unit-ball",
+          "--omega-floor", "5e-324"], 4, "privacy-infeasible"),
+        (["run-federated", "--d", "6", "--n", "40", "--no-dp",
+          "--leaves", "9223372036854775807"], 2, "do not fit in memory"),
+    ])
+    def test_sizes_past_any_batch_or_memory(self, tmp_path, capsys, argv, code, message):
+        # an OverflowError and a MemoryError once escaped main with exit 1
+        got, err = self._run(argv, tmp_path, capsys)
+        assert got == code and message in err

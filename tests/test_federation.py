@@ -180,6 +180,19 @@ class TestRunFederation:
         if threads is not None:
             assert api.get_num_threads() == threads
 
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_swapping_sibling_streams_changes_no_root_bit(self, workers):
+        # at fanout 2 every node has two children, and merge is order-free
+        y = global_matrix(13, 10, 160)
+        streams = [y[:, :50], y[:, 50:90], y[:, 90:100], y[:, 100:]]
+        tree = build_tree(4, 2)
+        cfg = FederationConfig(rank=4, batch_size=10)
+        want = run_federation(streams, tree, cfg, workers).estimate
+        for swapped in ([1, 0, 2, 3], [0, 1, 3, 2], [1, 0, 3, 2]):
+            got = run_federation([streams[i] for i in swapped], tree, cfg, workers).estimate
+            assert got.basis.tobytes() == want.basis.tobytes()
+            assert got.values.tobytes() == want.values.tobytes()
+
     def test_empty_stream_is_neutral(self):
         y = global_matrix(5, 8, 40)
         s0, s1 = split_columns(y, 2)

@@ -334,6 +334,30 @@ class TestMerge:
             assert got.basis.tobytes() == want.basis.tobytes()
             assert got.values.tobytes() == want.values.tobytes()
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.integers(2, 12),
+        r1=st.integers(1, 12),
+        r2=st.integers(1, 12),
+        r=st.integers(1, 12),
+        pair=st.sampled_from(["distinct", "equal", "tied values"]),
+        seed=st.integers(0, 10_000),
+    )
+    def test_argument_order_changes_no_bit(self, d, r1, r2, r, pair, seed):
+        # r1 + r2 below, at and past d; a target rank below r1 or not; equal
+        # inputs, and inputs whose values tie exactly while their bases differ
+        r1, r2, r = min(r1, d), min(r2, d), min(r, d)
+        rng = np.random.default_rng(seed)
+        s1 = truncated_svd(rng.standard_normal((d, d)), r1)
+        s2 = truncated_svd(rng.standard_normal((d, d)), r2)
+        if pair == "equal":
+            s2 = s1
+        elif pair == "tied values":
+            s2 = SubspaceEstimate(truncated_svd(rng.standard_normal((d, d)), r1).basis, s1.values)
+        one, two = merge(s1, s2, r), merge(s2, s1, r)
+        assert one.basis.tobytes() == two.basis.tobytes()
+        assert one.values.tobytes() == two.values.tobytes()
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             merge(random_estimate(0, 6, 2), random_estimate(0, 7, 2), 2)
@@ -388,7 +412,11 @@ class TestMergePanel:
         monkeypatch.setattr(np.linalg, "svd", spy)
         merge(s1, s2, min(d, r1 + r2))
         (panel,) = panels
-        assert np.array_equal(panel, np.hstack([s1.basis * s1.values, s2.basis * s2.values]))
+        # the estimate with the larger leading value goes first
+        first, second = (s1, s2) if s1.values[0] >= s2.values[0] else (s2, s1)
+        assert np.array_equal(
+            panel, np.hstack([first.basis * first.values, second.basis * second.values])
+        )
 
     @pytest.mark.parametrize("d, r1, r2", SHAPES)
     def test_inputs_unchanged(self, d, r1, r2):
