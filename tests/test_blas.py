@@ -1,5 +1,8 @@
+import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +17,7 @@ from fedpca.privacy import DpConfig, PrivacyInfeasibleError, derive_rng
 @pytest.fixture
 def api():
     """The discovered OpenBLAS, set to two threads for the test and reset after."""
-    found = _blas.openblas()
+    found = _blas._API
     if found is None:
         pytest.skip("no OpenBLAS loaded")
     before = found.get_num_threads()
@@ -37,8 +40,36 @@ def recording(monkeypatch, module, name, api, seen):
 
 
 def test_discovery_names_the_library(api):
-    assert "openblas" in api.library.lower()
-    assert _blas.describe() == f"blas openblas={api.library} threads=1"
+    assert "openblas" in api.config.lower()
+    assert _blas.describe() == f"blas openblas={api.config} threads=1"
+
+
+@pytest.mark.skipif(_blas._API is None, reason="no OpenBLAS loaded")
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="OpenBLAS caps its threads at the CPU count")
+def test_found_library_is_the_one_numpy_configured():
+    # numpy's OpenBLAS takes its count from the environment; the handle
+    # lookup must read and pin that library's count, in a fresh process
+    script = "\n".join([
+        "from fedpca import _blas",
+        "api = _blas._API",
+        "before = api.get_num_threads()",
+        "with _blas.single_thread():",
+        "    inside = api.get_num_threads()",
+        "print(before, inside, api.get_num_threads())",
+        "print(_blas.describe())",
+    ])
+    src = str(Path(_blas.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    counts, described = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                                       capture_output=True, text=True).stdout.splitlines()
+    assert counts == "2 1 2"
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except TypeError:  # numpy before 1.26 only prints its build configuration
+        blas = {}
+    if blas.get("name", "").endswith("openblas"):
+        assert f"OpenBLAS {blas['version']}" in described
 
 
 def test_process_batch_runs_pinned_and_restores(api, monkeypatch):

@@ -454,8 +454,8 @@ class TestReplay:
         fedpca(2, "replay", str(first / "manifest.txt"), "--out", str(second))
         assert (first / "metrics.csv").read_bytes() == (second / "metrics.csv").read_bytes()
 
-    # the runs the CI workflow's console-script step replays, at its sizes;
-    # test_replay_at_another_blas_thread_count makes its d = 256 run
+    # one run of each kind a command makes, replayed; the CI workflow runs
+    # this file against the installed package too
     @pytest.mark.parametrize("command", [
         "run-edge --d 8 --n 40 --no-dp",
         "run-federated --d 8 --n 80 --leaves 4 --no-dp",

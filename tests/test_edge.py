@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedpca import accounting, linalg
 from fedpca.edge import EdgeClient, EnergyBounds, adjust_rank, energy_ratio, ssvd
@@ -328,14 +330,8 @@ HARD_INPUTS = {
 }
 
 
-@pytest.mark.parametrize("case", HARD_INPUTS)
-def test_hard_inputs_stream_exactly(case):
-    """With r at or above the data's rank, a plain stream is its offline SVD.
-
-    Every value is within 64 eps s_1 per fold of the one-sided Jacobi values
-    of the (weighted) concatenation, and the basis is orthonormal.
-    """
-    est, folds, y = HARD_INPUTS[case](np.random.default_rng(26))
+def assert_streams_exactly(est, folds, y):
+    """Every value within 64 eps s_1 per fold of y's Jacobi values; an orthonormal basis."""
     assert est.rank > 0
     want = jacobi_svd(y.T if y.shape[1] > y.shape[0] else y)[1]
     got = np.zeros(want.size)
@@ -343,6 +339,44 @@ def test_hard_inputs_stream_exactly(case):
     assert np.max(np.abs(got - want)) <= 64 * np.finfo(float).eps * want[0] * folds
     gram = est.basis.T @ est.basis
     assert np.max(np.abs(gram - np.eye(est.rank))) <= linalg.ORTHO_TOL * est.dim
+
+
+@pytest.mark.parametrize("case", HARD_INPUTS)
+def test_hard_inputs_stream_exactly(case):
+    """With r at or above the data's rank, a plain stream is its offline SVD.
+
+    Every value is within 64 eps s_1 per fold of the one-sided Jacobi values
+    of the (weighted) concatenation, and the basis is orthonormal.
+    """
+    assert_streams_exactly(*HARD_INPUTS[case](np.random.default_rng(26)))
+
+
+@st.composite
+def hard_streams(draw):
+    """(y, r, b, forgetting): data of rank at most r, graded to kappa 1e8,
+    b below r or above d, possibly one all-zero batch, possibly discounted."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(1, 40))
+    r = draw(st.integers(1, d))
+    b = draw(st.integers(1, 50))
+    folds = draw(st.integers(1, 5))
+    n = draw(st.integers((folds - 1) * b + 1, folds * b))  # the last batch may be partial
+    k = draw(st.integers(1, min(r, n)))
+    y = low_rank(rng, d, n, 10.0 * np.logspace(0, -draw(st.floats(0, 8)), k))
+    if folds > 1 and draw(st.booleans()):
+        zero = draw(st.integers(0, folds - 1))
+        y[:, zero * b : (zero + 1) * b] = 0.0
+    return y, r, b, draw(st.sampled_from([1.0, 0.9]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=hard_streams())
+def test_drawn_hard_inputs_stream_exactly(case):
+    """test_hard_inputs_stream_exactly's claim and bounds on drawn inputs."""
+    y, r, b, forgetting = case
+    est, folds = stream(y, r, b, forgetting)
+    batch = np.arange(y.shape[1]) // b
+    assert_streams_exactly(est, folds, y * forgetting ** (batch[-1] - batch))
 
 
 class TestUpdateMemory:

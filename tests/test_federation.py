@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -159,7 +160,7 @@ class TestRunFederation:
         assert_every_order_gives_the_federation_root(y, FederationConfig(rank=4, batch_size=10))
 
     def test_thread_pool_is_result_identical(self):
-        api = _blas.openblas()
+        api = _blas._API
         threads = api.get_num_threads() if api else None
         y = global_matrix(4, 8, 80)
         cases = [(split_columns(y, 4), FederationConfig(rank=4, batch_size=10), 4)]
@@ -194,17 +195,23 @@ class TestRunFederation:
             assert got.values.tobytes() == want.values.tobytes()
 
     def test_empty_stream_is_neutral(self):
-        y = global_matrix(5, 8, 40)
-        s0, s1 = split_columns(y, 2)
-        with_empty = run_federation(
-            [s0, s1, np.zeros((8, 0))], build_tree(3, 2),
-            FederationConfig(rank=4, batch_size=20),
-        )
-        without = run_federation(
-            [s0, s1], build_tree(2, 2), FederationConfig(rank=4, batch_size=20)
-        )
-        assert np.max(np.abs(with_empty.estimate.values - without.estimate.values)) < 1e-10
-        assert with_empty.per_level_ranks[0] == (4, 4, 0)
+        # a failed node's empty stream changes no bit of the root: trailing,
+        # with and without DP, and between two leaves without DP. Leaf i
+        # draws its noise from stream i, so with DP an empty leaf in the
+        # middle shifts every later leaf's noise and their bits by design
+        y = global_matrix(5, 10, 90)
+        s0, s1, s2 = split_columns(y, 3)
+        empty = np.zeros((10, 0))
+        cases = [([s0, s1, empty], [s0, s1], None),
+                 ([s0, s1, empty, s2], [s0, s1, s2], None),
+                 ([s0, s1, empty], [s0, s1], DpConfig(1.0, 0.1))]
+        for workers, (streams, kept, dp) in itertools.product((None, 2), cases):
+            cfg = FederationConfig(rank=4, batch_size=30, dp=dp, seed=5)
+            with_empty = run_federation(streams, build_tree(len(streams), 2), cfg, workers)
+            without = run_federation(kept, build_tree(len(kept), 2), cfg, workers)
+            assert with_empty.estimate.basis.tobytes() == without.estimate.basis.tobytes()
+            assert with_empty.estimate.values.tobytes() == without.estimate.values.tobytes()
+            assert with_empty.per_level_ranks[0] == tuple(4 if s.shape[1] else 0 for s in streams)
 
     def test_private_federation_ignores_schedule(self):
         y = global_matrix(6, 6, 90)
