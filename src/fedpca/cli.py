@@ -43,7 +43,6 @@ from .federation import FederationConfig, build_tree, depth_error_probe, run_fed
 from .linalg import truncated_svd
 from .metrics import MetricLog, projection_error, qa_overlap
 from .privacy import (
-    CalibrationError,
     DpConfig,
     PrivacyInfeasibleError,
     derive_rng,
@@ -235,7 +234,7 @@ def _acquire_data(params: dict, meta: list[str]) -> np.ndarray:
     return x
 
 
-def _client_config(params: dict, x: np.ndarray, meta: list[str]) -> FederationConfig:
+def _client_config(params: dict, x: np.ndarray) -> FederationConfig:
     """The client settings shared by edge and federated runs."""
     d, n = x.shape
     energy = (EnergyBounds(params["energy_alpha"], params["energy_beta"], params["max_rank"])
@@ -247,8 +246,8 @@ def _client_config(params: dict, x: np.ndarray, meta: list[str]) -> FederationCo
         norms = np.sqrt(np.einsum("ij,ij->j", x, x))
         outside = int(np.sum(norms > 1.0))
         if outside:
-            meta.append(
-                f"warning: dp enabled but {outside} of {n} columns lie outside "
+            warnings.warn(
+                f"dp enabled but {outside} of {n} columns lie outside "
                 f"the unit ball (largest norm {float(np.max(norms)):.6g}); the "
                 "budget assumes every column norm <= 1"
             )
@@ -279,7 +278,7 @@ def _log_edge_rows(log: MetricLog, timing: MetricLog, x: np.ndarray, client: Edg
         if err > 0:
             log.add("log_reconstruction_error", math.log(err), t=block)
         if est.rank and float(np.sum(est.values)) > 0:
-            log.add("energy_ratio", energy_ratio(est.values, est.rank), t=block)
+            log.add("energy_ratio", energy_ratio(est.values), t=block)
         if client.dp is not None and client.last_omega is not None:
             log.add("noise_omega", client.last_omega, t=block)
             log.add("batch_width", hi - lo, t=block)
@@ -304,7 +303,7 @@ def cmd_synth(params: dict, out_dir: Path, log: MetricLog, timing: MetricLog) ->
 def cmd_run_edge(params: dict, out_dir: Path, log: MetricLog, timing: MetricLog) -> list[str]:
     meta: list[str] = []
     x = _acquire_data(params, meta)
-    client = _client_config(params, x, meta).client(x.shape[0])
+    client = _client_config(params, x).client(x.shape[0])
     _log_edge_rows(log, timing, x, client)
     meta.append(f"blocks={client.blocks_seen}")
     return meta
@@ -313,7 +312,7 @@ def cmd_run_edge(params: dict, out_dir: Path, log: MetricLog, timing: MetricLog)
 def cmd_run_federated(params: dict, out_dir: Path, log: MetricLog, timing: MetricLog) -> list[str]:
     meta: list[str] = []
     x = _acquire_data(params, meta)
-    cfg = _client_config(params, x, meta)
+    cfg = _client_config(params, x)
     leaves = params["leaves"]
     partition = partition_columns(x.shape[1], leaves, params["policy"], params["seed"])
     streams = partition.split(x)
@@ -382,9 +381,7 @@ def cmd_utility_sweep(params: dict, out_dir: Path, log: MetricLog, timing: Metri
     rank = min(params["rank"], d)
     clipped = sorted({e for e in epsilons if e < EPSILON_FLOOR})
     if clipped:
-        meta.append(
-            f"warning: epsilon values {clipped} clipped to {EPSILON_FLOOR}"
-        )
+        warnings.warn(f"epsilon values {clipped} clipped to {EPSILON_FLOOR}")
 
     for ai, alpha in enumerate(alphas):
         for rep in range(reps):
@@ -489,11 +486,12 @@ def _execute(command: str, params: dict, out_dir: Path) -> None:
                 out_dir.rmdir()
             raise
     timing.add("runtime_s", time.perf_counter() - started)
-    # checks the library owns arrive as UserWarnings, one per client that
-    # trips them; each distinct message is reported once
-    meta.extend(dict.fromkeys(
+    # the command's own checks and the library's (one per client that trips
+    # them) arrive as UserWarnings; each distinct message is reported once
+    reported = list(dict.fromkeys(
         f"warning: {w.message}" for w in caught if issubclass(w.category, UserWarning)
     ))
+    meta.extend(reported)
     for w in caught:  # any other category is shown as Python would have shown it
         if not issubclass(w.category, UserWarning):
             warnings.showwarning(w.message, w.category, w.filename, w.lineno)
@@ -501,9 +499,8 @@ def _execute(command: str, params: dict, out_dir: Path) -> None:
         log.write_csv(out_dir / "metrics.csv")
     timing.write_csv(out_dir / "timings.csv")
     _write_manifest(out_dir / "manifest.txt", command, params, meta)
-    for entry in meta:
-        if entry.startswith("warning:"):
-            print(f"fedpca {entry}", file=sys.stderr)
+    for entry in reported:
+        print(f"fedpca {entry}", file=sys.stderr)
     print(f"{command}: wrote {out_dir} (run {run_id})")
 
 
@@ -569,7 +566,7 @@ def main(argv=None) -> int:
     except (DataError, OSError) as exc:
         print(f"fedpca: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, CalibrationError, ValueError) as exc:
+    except ValueError as exc:  # ConfigError and CalibrationError among them
         print(f"fedpca: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:  # e.g. --leaves 2**63 - 1, whose shares no list can hold

@@ -58,21 +58,19 @@ class EnergyBounds:
             raise ValueError("max_rank must be positive when given")
 
 
-def energy_ratio(values, r: int) -> float:
-    """Share of the retained energy carried by the r-th value.
+def energy_ratio(values) -> float:
+    """Share of the retained energy carried by the last value.
 
-    ratio = values[r-1] / sum(values[:r]); always <= 1/r for a
-    non-increasing spectrum.
+    ratio = values[-1] / sum(values); always <= 1/len(values) for a
+    non-increasing spectrum; an empty vector has no energy and raises.
     """
     v = np.asarray(values, dtype=np.float64)
     if v.ndim != 1:
         raise ValueError("values must be a vector")
-    if not 1 <= r <= v.size:
-        raise ValueError(f"r={r} outside [1, {v.size}]")
-    total = float(np.sum(v[:r]))
+    total = float(np.sum(v))
     if total <= 0:
         raise ValueError("zero total energy; ratio undefined")
-    return float(v[r - 1]) / total
+    return float(v[-1]) / total
 
 
 def _new_direction(q: np.ndarray) -> np.ndarray:
@@ -99,7 +97,7 @@ def adjust_rank(est: SubspaceEstimate, bounds: EnergyBounds) -> SubspaceEstimate
     r = est.rank
     if r == 0 or est.values[0] == 0.0:  # non-increasing and non-negative: all zero
         return est
-    ratio = energy_ratio(est.values, r)
+    ratio = energy_ratio(est.values)
     cap = est.dim if bounds.max_rank is None else min(est.dim, bounds.max_rank)
     if ratio > bounds.upper and r < cap:
         basis = np.column_stack([est.basis, _new_direction(est.basis)])
@@ -249,7 +247,7 @@ class EdgeClient:
                 updated = ssvd(m, self.estimate.scaled(self.forgetting), self.rank)
                 omega = None
             else:
-                updated, omega = self._private_update(m, width)
+                updated, omega = self._private_update(m)
 
             if self.energy is not None:
                 updated = adjust_rank(updated, self.energy)
@@ -261,8 +259,9 @@ class EdgeClient:
         self.blocks_seen += 1
         return self.estimate
 
-    def _private_update(self, m: np.ndarray, width: int) -> Tuple[SubspaceEstimate, float]:
+    def _private_update(self, m: np.ndarray) -> Tuple[SubspaceEstimate, float]:
         """The merged estimate and the noise scale its masks were drawn at."""
+        width = m.shape[1]
         if self.dp.omega_floor is not None:
             needed = min_batch_size(self.dp, self.dim, self.dp.omega_floor)
             if width < needed:

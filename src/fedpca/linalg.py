@@ -191,14 +191,11 @@ def subspace_of(a, r: Optional[int] = None) -> SubspaceEstimate:
 
     With r omitted, keeps every direction carrying a nonzero singular value;
     otherwise at most r of them. Only the shape is checked here;
-    :func:`truncated_svd` rejects a non-finite entry.
+    :func:`truncated_svd` rejects a non-finite entry and an r below 1.
     """
     m = as_matrix(a)
     d, n = m.shape
-    k = min(d, n) if r is None else min(r, d, n)
-    if k < 1:
-        raise ValueError("requested rank must be at least 1")
-    f = truncated_svd(m, k)
+    f = truncated_svd(m, min(d, n) if r is None else min(r, d, n))
     return f.truncated(_nonzero_count(f.values, max(d, n)))
 
 

@@ -4,19 +4,23 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import threading
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fedpca import _blas, cli
 from fedpca.cli import EPSILON_FLOOR, build_parser, main, resolve_params
 from fedpca.datasets import (load_csv, save_matrix_csv, synth, synth_gaussian_cov,
                              unit_ball_factor)
 from fedpca.federation import FederationConfig, build_tree, depth_error_probe, run_federation
-from fedpca.privacy import DpConfig
+from fedpca.privacy import DpConfig, derive_rng
 
 
 def run_ok(argv):
@@ -69,6 +73,21 @@ class TestSynth:
 
     def test_missing_dimensions_exit_2(self, tmp_path):
         assert main(["synth", "--out", str(tmp_path / "x")]) == 2
+
+    def test_other_warning_categories_are_shown_not_recorded(self, tmp_path, capsys,
+                                                             monkeypatch):
+        save = cli.save_matrix_csv
+
+        def warn_then_save(path, x):
+            warnings.warn("disk nearly full", RuntimeWarning)
+            save(path, x)
+
+        monkeypatch.setattr(cli, "save_matrix_csv", warn_then_save)
+        out = tmp_path / "s"
+        with pytest.warns(RuntimeWarning, match="disk nearly full"):
+            run_ok(["synth", "--d", "3", "--n", "4", "--out", str(out)])
+        assert "disk nearly full" not in (out / "manifest.txt").read_text()
+        assert "warning" not in capsys.readouterr().err
 
 
 class TestRunEdge:
@@ -633,6 +652,18 @@ class TestUtilitySweep:
         assert len(largest) == 20  # 2 alphas x 2 reps x 5 epsilons
         assert max(largest) <= 1.0
 
+    @pytest.mark.parametrize("d, same", [(20, True), (65, False)])
+    def test_fpca_mask_is_stream_direct_in_one_slab(self, d, same):
+        # the sweep's client folds x in one batch; at d <= 64 that batch has
+        # one slab, the one stream_direct draws, so one noise stream gives
+        # one vector; past 64 rows the client folds two slabs
+        x = synth(d, 400, 1.0, 0)
+        x = x / np.linalg.norm(x, axis=0)
+        x /= unit_ball_factor(x)
+        rngs = (derive_rng(0, 0), derive_rng(0, 0), derive_rng(0, 2))
+        got = cli._sweep_estimators(x, 10, None, DpConfig(1.0, 0.1), rngs)
+        assert np.array_equal(got["fpca_mask"], got["stream_direct"]) == same
+
 
 class TestDepthProbe:
     def test_rows_echo_library_values(self, tmp_path):
@@ -797,25 +828,39 @@ _HOSTILE = {
 }
 
 
+def _kind(name):
+    row = cli.PARAMS[name]
+    if row.choices is not None:
+        return "choice"
+    if row.cast is cli._cast_bool:
+        return "bool"  # a valueless flag: the value comes from a config file
+    if name in _LISTS:
+        return "list"
+    if row.cast is str:
+        return "path"
+    return row.cast
+
+
 def _hostile_cases():
-    for name, row in cli.PARAMS.items():
+    for name in cli.PARAMS:
         command = _HOME.get(name, "run-edge")
         base = list(_BASE[command])
         if command == "run-edge":
             base += ["--normalize", "unit-ball"] if name in _PRIVATE else ["--no-dp"]
             base += ["--adaptive"] if name in _BAND else []
-        if row.choices is not None:
-            kind = "choice"
-        elif row.cast is cli._cast_bool:
-            kind = "bool"  # a valueless flag: the value comes from a config file
-        elif name in _LISTS:
-            kind = "list"
-        elif row.cast is str:
-            kind = "path"
-        else:
-            kind = row.cast
-        for value in _HOSTILE[kind]:
+        for value in _HOSTILE[_kind(name)]:
             yield pytest.param(command, base, name, value, id=f"{name}={value}")
+
+
+@st.composite
+def _hostile_command_lines(draw):
+    """A command with 1-5 of its parameters, each set to a hostile value or a choice."""
+    command = draw(st.sampled_from(sorted(_BASE)))
+    names = draw(st.permutations(cli.COMMANDS[command].params))[:draw(st.integers(1, 5))]
+    pairs = [(name, draw(st.sampled_from(_HOSTILE[_kind(name)]
+                                         + list(cli.PARAMS[name].choices or ()))))
+             for name in names]
+    return command, pairs
 
 
 class TestHostileValues:
@@ -834,18 +879,49 @@ class TestHostileValues:
         assert out.exists() == (code == 0)
         return code, err
 
+    @staticmethod
+    def _argv(command, base, pairs, tmp_path):
+        """Flags for the given (name, value) pairs; booleans go through a config file."""
+        argv, config = [command, *base], []
+        for name, value in pairs:
+            if cli.PARAMS[name].cast is cli._cast_bool:
+                config.append(f"{name}={value}\n")
+            else:
+                flag = cli.PARAMS[name].flag or "--" + name.replace("_", "-")
+                if value == "missing.csv":
+                    value = str(tmp_path / value)
+                argv.append(f"{flag}={value}")
+        if config:
+            (tmp_path / "c.txt").write_text("".join(config))
+            argv += ["--config", str(tmp_path / "c.txt")]
+        return argv
+
     @pytest.mark.parametrize("command, base, name, value", _hostile_cases())
     def test_parameter_value(self, tmp_path, capsys, command, base, name, value):
-        if cli.PARAMS[name].cast is cli._cast_bool:
-            config = tmp_path / "c.txt"
-            config.write_text(f"{name}={value}\n")
-            argv = [command, *base, "--config", str(config)]
-        else:
-            flag = cli.PARAMS[name].flag or "--" + name.replace("_", "-")
-            if value == "missing.csv":
-                value = str(tmp_path / value)
-            argv = [command, *base, f"{flag}={value}"]
-        self._run(argv, tmp_path, capsys)
+        self._run(self._argv(command, base, [(name, value)], tmp_path), tmp_path, capsys)
+
+    # every drawn int is at most 0, so no --reps or --leaves runs for real
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(line=_hostile_command_lines())
+    def test_drawn_parameter_values(self, capsys, line):
+        command, pairs = line
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp_path = Path(tmp)
+            self._run(self._argv(command, _BASE[command], pairs, tmp_path), tmp_path, capsys)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["run-edge", "--d", "6", "--n", "40", "--no-dp", "--config", "missing.txt"],
+         "cannot read config"),
+        (["run-edge", "--no-dp"], "need --data or both --d and --n"),
+        (["run-federated", "--n", "40", "--no-dp"], "need --data or both --d and --n"),
+    ], ids=["unreadable-config", "edge-without-data", "federated-without-d"])
+    def test_missing_input_exit_2(self, tmp_path, capsys, argv, message):
+        argv = [str(tmp_path / a) if a == "missing.txt" else a for a in argv]
+        code, err = self._run(argv, tmp_path, capsys)
+        lines = err.splitlines()
+        assert code == 2 and len(lines) == 1 and lines[0].startswith("fedpca: ")
+        assert message in lines[0]
 
     @pytest.mark.parametrize("argv, code, message", [
         (["run-edge", "--d", "6", "--n", "40", "--epsilon", "1", "--normalize", "unit-ball",

@@ -483,3 +483,15 @@ class TestPartitionColumns:
         assert len(p.assignments) == clients
         for a in p.assignments:
             assert list(a) == sorted(a)
+
+
+@pytest.mark.parametrize("call, message", [
+    # the orientation is checked before the file is opened
+    (lambda: load_csv("unused.csv", orientation="sideways"), "unknown orientation 'sideways'"),
+    (lambda: partition_columns(4, 2).split(np.ones((3, 5))), "matrix has 5 columns, expected 4"),
+    (lambda: partition_columns(-1, 2), "n must be non-negative"),
+], ids=["orientation", "split-columns", "negative-n"])
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match=message) as info:
+        call()
+    assert info.type is ValueError

@@ -31,19 +31,21 @@ def rank3_batch(rng, d, n, sigmas=(24.0, 16.0, 8.0)):
 
 class TestEnergyRatio:
     def test_flat_spectrum(self):
-        assert energy_ratio([3.0, 2.0, 1.0], 3) == pytest.approx(1.0 / 6.0)
+        assert energy_ratio([3.0, 2.0, 1.0]) == pytest.approx(1.0 / 6.0)
 
     def test_spiked_spectrum(self):
-        assert energy_ratio([100.0, 1.0], 2) == pytest.approx(1.0 / 101.0)
+        assert energy_ratio([100.0, 1.0]) == pytest.approx(1.0 / 101.0)
 
     def test_rank_one(self):
-        assert energy_ratio([5.0], 1) == 1.0
+        assert energy_ratio([5.0]) == 1.0
 
     def test_bad_inputs(self):
-        with pytest.raises(ValueError):
-            energy_ratio([1.0, 0.5], 3)
-        with pytest.raises(ValueError):
-            energy_ratio([0.0, 0.0], 2)
+        with pytest.raises(ValueError, match="zero total energy"):
+            energy_ratio([])
+        with pytest.raises(ValueError, match="zero total energy"):
+            energy_ratio([0.0, 0.0])
+        with pytest.raises(ValueError, match="must be a vector"):
+            energy_ratio([[1.0, 0.5]])
 
 
 class TestEnergyBounds:
@@ -225,6 +227,16 @@ class TestEdgeClientPlain:
             client.process_batch(rng.standard_normal((12, 40)))
         assert client.rank > 2
         assert client.rank <= 6
+
+    @pytest.mark.parametrize("feed, message", [
+        (lambda c: c.observe(np.ones(5)), "column has 5 entries, expected 4"),
+        (lambda c: c.process_batch(np.ones((3, 2))), "batch has 3 rows, expected 4"),
+    ], ids=["observe-size", "batch-rows"])
+    def test_misshapen_input_rejected(self, feed, message):
+        client = EdgeClient(dim=4, rank=2, batch_size=5)
+        with pytest.raises(ValueError, match=message):
+            feed(client)
+        assert client.blocks_seen == 0 and client.estimate.rank == 0
 
     def test_oversized_batch_rejected(self):
         client = EdgeClient(dim=4, rank=2, batch_size=5)

@@ -332,3 +332,21 @@ class TestDepthErrorProbe:
     def test_depth_validation(self):
         with pytest.raises(ValueError):
             depth_error_probe(np.ones((4, 8)), fanout=2, depths=[0], r=2)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: run_federation([np.ones((4, 8)), np.ones((3, 8))], build_tree(2, 2),
+                            FederationConfig(rank=2)), r"stream 1 has shape \(3, 8\)"),
+    (lambda: run_federation([np.ones((4, 8)), np.ones(8)], build_tree(2, 2),
+                            FederationConfig(rank=2)), r"stream 1 has shape \(8,\)"),
+    (lambda: depth_error_probe(np.ones((4, 8)), fanout=1, depths=[1], r=2),
+     "fanout must be at least 2"),
+    (lambda: depth_error_probe(np.ones((4, 8)), fanout=2, depths=[1], r=0),
+     r"rank 0 outside \[1, 4\]"),
+    (lambda: depth_error_probe(np.ones((4, 8)), fanout=2, depths=[1], r=5),
+     r"rank 5 outside \[1, 4\]"),
+], ids=["stream-rows", "stream-ndim", "probe-fanout", "probe-rank-zero", "probe-rank-past-d"])
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match=message) as info:
+        call()
+    assert info.type is ValueError

@@ -13,6 +13,7 @@ from fedpca.datasets import synth_gaussian_cov
 from fedpca.linalg import (
     SubspaceEstimate,
     _fix_signs,
+    as_matrix,
     merge,
     subspace_of,
     truncated_svd,
@@ -255,6 +256,10 @@ class TestMerge:
         out2 = merge(SubspaceEstimate.empty(8), s, 2)
         assert np.allclose(out2.values, s.values[:2])
 
+    def test_all_zero_values_merge_to_the_empty_estimate(self):
+        zero = SubspaceEstimate(np.eye(4)[:, :2], np.zeros(2))
+        assert merge(zero, zero, 2) is SubspaceEstimate.empty(4)
+
     def test_duplicate_estimate_scales_by_sqrt2(self):
         s = subspace_of(np.diag([3.0, 2.0, 1.0]))
         out = merge(s, s, 3)
@@ -489,3 +494,24 @@ class TestMergeVariants:
             assert np.max(np.abs(out.values - values)) < 1e-8
             assert out.rank == values.size
             assert projector_distance(out.basis, basis) < 1e-8
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: as_matrix(np.ones(3)), "matrix must be 2-D, got ndim=1"),
+    (lambda: as_matrix(np.ones((0, 3))), r"at least one row and column, got \(0, 3\)"),
+    (lambda: SubspaceEstimate(np.ones(3), np.ones(1)), "basis must be 2-D"),
+    (lambda: SubspaceEstimate(np.eye(3)[:, :2], np.ones(3)), "values length must match"),
+    (lambda: SubspaceEstimate(np.ones((2, 3)), np.ones(3)), "rank cannot exceed"),
+    (lambda: SubspaceEstimate.empty(0), "ambient dimension must be positive"),
+    (lambda: SubspaceEstimate.empty(3).truncated(-1), "rank must be non-negative"),
+    (lambda: merge(SubspaceEstimate.empty(3), SubspaceEstimate.empty(3), 4),
+     r"target rank 4 outside \[1, 3\]"),
+    # subspace_of leaves the rank check to truncated_svd
+    (lambda: subspace_of(np.eye(3), 0), r"r=0 outside \[1, 3\]"),
+    (lambda: subspace_of(np.eye(3), -2), r"r=-2 outside \[1, 3\]"),
+], ids=["as_matrix-ndim", "as_matrix-empty", "basis-ndim", "values-length", "rank-past-dim",
+        "empty-dim", "truncated-rank", "merge-rank", "subspace_of-zero", "subspace_of-negative"])
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match=message) as info:
+        call()
+    assert info.type is ValueError

@@ -242,3 +242,14 @@ class TestMetricLog:
             "runtime_s",
         ):
             assert name in REGISTERED_METRICS
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: projection_error(np.ones((3, 4)), np.eye(4)), "basis rows must match"),
+    (lambda: projection_error(np.ones((3, 4)), np.ones(3)), "basis rows must match"),
+    (lambda: qa_overlap([1.0, 0.0], [1.0, 0.0, 0.0]), "vectors differ in length"),
+], ids=["basis-rows", "basis-ndim", "overlap-length"])
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match=message) as info:
+        call()
+    assert info.type is ValueError

@@ -281,3 +281,19 @@ class TestMaskedCovBlocks:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * 8 * d * c + 16384
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: omega_streaming(DpConfig(1.0, 0.1), 0, 10), "dimension must be positive, got 0"),
+    (lambda: omega_symmetric_sulq(DpConfig(1.0, 0.1), 4, 0),
+     "batch width must be positive, got 0"),
+    (lambda: min_batch_size(DpConfig(1.0, 0.1), 4, 0.0), "omega_floor must be positive, got 0.0"),
+    (lambda: min_batch_size(DpConfig(1.0, 0.1), 4, math.nan),
+     "omega_floor must be positive, got nan"),
+    (lambda: gaussian_mask(0, 2, 1.0, np.random.default_rng(0)),
+     r"mask shape must be positive, got \(0, 2\)"),
+], ids=["omega-dim", "omega-width", "floor-zero", "floor-nan", "mask-shape"])
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match=message) as info:
+        call()
+    assert info.type is ValueError
