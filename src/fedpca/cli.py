@@ -277,9 +277,9 @@ def _log_edge_rows(log: MetricLog, timing: MetricLog, x: np.ndarray, client: Edg
         log.add("reconstruction_error", err, t=block)
         if err > 0:
             log.add("log_reconstruction_error", math.log(err), t=block)
-        if est.rank and float(np.sum(est.values)) > 0:
+        if est.rank and est.values[0] > 0:
             log.add("energy_ratio", energy_ratio(est.values), t=block)
-        if client.dp is not None and client.last_omega is not None:
+        if client.last_omega is not None:
             log.add("noise_omega", client.last_omega, t=block)
             log.add("batch_width", hi - lo, t=block)
         block += 1
@@ -391,10 +391,7 @@ def cmd_utility_sweep(params: dict, out_dir: Path, log: MetricLog, timing: Metri
                 ).generate_state(1)[0]
             )
             x = synth(d, n, alpha, data_seed)
-            norms = np.sqrt(np.einsum("ij,ij->j", x, x))
-            if np.min(norms) <= 0:
-                raise DataError("degenerate zero column in sweep data")
-            x = x / norms  # every sample on the unit sphere
+            x = x / np.sqrt(np.einsum("ij,ij->j", x, x))  # every sample on the unit sphere
             x /= unit_ball_factor(x)  # rounding leaves some norms an ulp above 1
             v_true = truncated_svd(x, 1).basis[:, 0]
             for ei, eps_raw in enumerate(epsilons):

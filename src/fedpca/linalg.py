@@ -248,9 +248,6 @@ def merge(s1: SubspaceEstimate, s2: SubspaceEstimate, r: int) -> SubspaceEstimat
     accounting.note("merge.left", u.shape)
     keep = min(r, _nonzero_count(vals, max(a.shape)))
     del a  # freed before the basis is copied out of u, so the two never coexist
-    if keep == 0:
-        return SubspaceEstimate.empty(d)
-
     basis = u if keep == u.shape[1] else u[:, :keep].copy()
     accounting.note("merge.basis", basis.shape)
     _fix_signs(basis)

@@ -132,8 +132,6 @@ def gaussian_mask(d: int, c: int, omega: float, rng: np.random.Generator) -> np.
     if not 0.0 <= omega < math.inf:  # also false for nan
         raise ValueError(f"omega must be finite and >= 0, got {omega}")
     accounting.note("privacy.mask", (d, c))
-    if omega == 0.0:
-        return np.zeros((d, c))
     return rng.normal(0.0, omega, size=(d, c))
 
 

@@ -126,6 +126,7 @@ class TestMasks:
         m = gaussian_mask(4, 7, 0.0, rng)
         assert m.shape == (4, 7)
         assert np.count_nonzero(m) == 0
+        assert not np.signbit(m).any()  # +0.0, never -0.0
 
     def test_variance_within_one_percent(self):
         rng = np.random.default_rng(42)
@@ -147,7 +148,9 @@ class TestMasks:
             got = symmetric_gaussian_mask(d, omega, np.random.default_rng(9))
             upper = np.triu(np.random.default_rng(9).normal(0.0, omega, size=(d, d)))
             assert np.array_equal(got, upper + np.triu(upper, 1).T)
-        assert np.count_nonzero(symmetric_gaussian_mask(5, 0.0, np.random.default_rng(0))) == 0
+        zero = symmetric_gaussian_mask(5, 0.0, np.random.default_rng(0))
+        assert np.count_nonzero(zero) == 0
+        assert not np.signbit(zero).any()
 
     @pytest.mark.parametrize("omega", [-0.1, math.nan, math.inf])
     def test_bad_omega_rejected(self, omega):
@@ -211,7 +214,9 @@ class TestMaskedCovBlocks:
         m = rng.standard_normal((9, 13))
         for k, slab in enumerate(masked_cov_blocks(m, 4, 0.0, rng)):
             lo, hi = 4 * k, min(4 * k + 4, 9)
-            assert np.array_equal(slab, (m @ m[lo:hi, :].T) * (1.0 / 13))
+            want = (m @ m[lo:hi, :].T) * (1.0 / 13)
+            assert np.array_equal(slab, want)
+            assert np.array_equal(np.signbit(slab), np.signbit(want))  # array_equal has -0.0 == 0.0
 
     @pytest.mark.parametrize("bad", BAD_ENTRIES)
     def test_bad_entry_fails_the_one_slab(self, bad):
