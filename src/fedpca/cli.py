@@ -46,8 +46,6 @@ from .privacy import (
     DpConfig,
     PrivacyInfeasibleError,
     derive_rng,
-    masked_cov_blocks,
-    omega_streaming,
     omega_symmetric_sulq,
     symmetric_gaussian_mask,
 )
@@ -342,32 +340,27 @@ def _sweep_estimators(
     dp: Optional[DpConfig],
     rngs: tuple[np.random.Generator, np.random.Generator, np.random.Generator],
 ) -> dict[str, np.ndarray]:
-    """Leading-direction estimates for the three private estimators."""
+    """Leading-direction estimates for the three private estimators.
+
+    fpca_mask and stream_direct are one EdgeClient folding x as one batch,
+    its masked covariance in --cov-block slabs and in one d-wide slab; without
+    dp both are the plain fold. sulq_symmetric masks the covariance once.
+    """
     d, n = x.shape
-    omega_stream = omega_streaming(dp, d, n) if dp is not None else 0.0
     omega_sym = omega_symmetric_sulq(dp, d, n) if dp is not None else 0.0
-
-    client = EdgeClient(
-        d,
-        rank,
-        batch_size=n,
-        dp=dp,
-        cov_block_width=cov_block,
-        rng=rngs[0] if dp is not None else None,
-    )
-    client.process_batch(x)
-    v_fpca = client.estimate.basis[:, 0]
-
-    slab = next(masked_cov_blocks(x, d, omega_stream, rngs[1]))
-    v_direct = truncated_svd(slab, 1).basis[:, 0]
+    estimates = {}
+    for method, width, rng in zip(("fpca_mask", "stream_direct"), (cov_block, d), rngs):
+        client = EdgeClient(d, rank, batch_size=n, dp=dp, cov_block_width=width, rng=rng)
+        client.process_batch(x)
+        estimates[method] = client.estimate.basis[:, 0]
 
     cov = (x @ x.T) / n + symmetric_gaussian_mask(d, omega_sym, rngs[2])
     _, vecs = np.linalg.eigh(cov)
     v_sym = vecs[:, -1]
     if v_sym[np.argmax(np.abs(v_sym))] < 0:  # truncated_svd's sign convention
         v_sym = -v_sym
-
-    return {"fpca_mask": v_fpca, "stream_direct": v_direct, "sulq_symmetric": v_sym}
+    estimates["sulq_symmetric"] = v_sym
+    return estimates
 
 
 def cmd_utility_sweep(params: dict, out_dir: Path, log: MetricLog, timing: MetricLog) -> list[str]:

@@ -20,7 +20,7 @@ import numpy as np
 
 from ._blas import single_thread
 from .edge import EdgeClient, EnergyBounds
-from .linalg import SubspaceEstimate, as_matrix, merge, subspace_of
+from .linalg import SubspaceEstimate, as_matrix, merge
 from .metrics import residual_rho
 from .privacy import DpConfig, derive_rng
 
@@ -122,20 +122,6 @@ def aggregate_once(children: Sequence[SubspaceEstimate], r: int) -> SubspaceEsti
     return acc.truncated(r)
 
 
-def _aggregate_tree(
-    leaves: Sequence[SubspaceEstimate], tree: FederationTree, r: int
-) -> GlobalEstimate:
-    """Merge the leaf estimates up ``tree`` level by level, truncating to rank r."""
-    estimates = dict(enumerate(leaves))
-    per_level = [tuple(e.rank for e in leaves)]
-    for level in tree.levels[1:]:
-        for node_id in level:
-            kids = [estimates[c] for c in tree.nodes[node_id].children]
-            estimates[node_id] = aggregate_once(kids, r)
-        per_level.append(tuple(estimates[i].rank for i in level))
-    return GlobalEstimate(estimates[tree.root], tuple(per_level))
-
-
 def run_federation(
     streams: Sequence[np.ndarray],
     tree: FederationTree,
@@ -174,7 +160,15 @@ def run_federation(
     else:
         with ThreadPoolExecutor(max_workers) as pool:
             leaves = list(pool.map(leaf, range(len(mats))))
-    return _aggregate_tree(leaves, tree, cfg.rank)
+
+    estimates = dict(enumerate(leaves))
+    per_level = [tuple(e.rank for e in leaves)]
+    for level in tree.levels[1:]:
+        for node_id in level:
+            kids = [estimates[c] for c in tree.nodes[node_id].children]
+            estimates[node_id] = aggregate_once(kids, cfg.rank)
+        per_level.append(tuple(estimates[i].rank for i in level))
+    return GlobalEstimate(estimates[tree.root], tuple(per_level))
 
 
 def depth_error_probe(
@@ -182,12 +176,13 @@ def depth_error_probe(
 ) -> list[tuple[float, float]]:
     """Measured global error of depth-q lossless-data hierarchies vs their bound.
 
-    For each depth q, the matrix is split into fanout**q equal column blocks,
-    each reduced to a rank-r summary, and the summaries are merged up a full
-    tree. The measured error aligns the root reconstruction B = [U * S | 0],
-    zero-padded to the input width, with the input over the orthogonal
-    group; the bound is ((1 + sqrt(2))**(q + 1) - 1) times the best rank-r
-    residual, taken from one dense SVD of Y shared by every depth.
+    For each depth q, the matrix is split into fanout**q equal column blocks;
+    run_federation folds each block as one batch of its leaf's client and
+    merges the rank-r leaf summaries up a full tree. The measured error
+    aligns the root reconstruction B = [U * S | 0], zero-padded to the input
+    width, with the input over the orthogonal group; the bound is
+    ((1 + sqrt(2))**(q + 1) - 1) times the best rank-r residual, taken from
+    one dense SVD of Y shared by every depth.
     B is never formed: with (U * S)^T Y = P Sigma Q^T the best rotation sends
     B to (U * S) P Q^T, and ||Y - (U * S) P Q^T||_F is summed block by block.
     On an exact tree this stays at rounding level, where the cancelling sum
@@ -212,12 +207,10 @@ def depth_error_probe(
     rho = residual_rho(m, r)
     pairs = []
     for depth in depths:
-        leaves = fanout**depth
-        width = n // leaves
-        summaries = [
-            subspace_of(m[:, i * width : (i + 1) * width], r) for i in range(leaves)
-        ]
-        root = _aggregate_tree(summaries, build_tree(leaves, fanout), r).estimate
+        width = n // fanout**depth
+        blocks = [m[:, lo : lo + width] for lo in range(0, n, width)]
+        tree = build_tree(len(blocks), fanout)
+        root = run_federation(blocks, tree, FederationConfig(r, width), 1).estimate
 
         scaled = root.basis * root.values
         p, _, qt = np.linalg.svd(scaled.T @ m, full_matrices=False)

@@ -79,8 +79,9 @@ def projection_error(y, basis) -> float:
 
 def qa_overlap(v, v_hat, signed: bool = False) -> float:
     """Overlap |<v, v_hat>| between two unit vectors (signed on request)."""
-    a = np.asarray(v, dtype=np.float64).reshape(-1)
-    b = np.asarray(v_hat, dtype=np.float64).reshape(-1)
+    # C-contiguous copies: BLAS rounds a strided dot product differently
+    a = np.ascontiguousarray(v, dtype=np.float64).reshape(-1)
+    b = np.ascontiguousarray(v_hat, dtype=np.float64).reshape(-1)
     if a.size != b.size:
         raise ValueError("vectors differ in length")
     for name, vec in (("v", a), ("v_hat", b)):

@@ -2,9 +2,10 @@
 
 Nothing here calls back into the package's kernels: the SVD oracle is a
 one-sided Jacobi iteration, the merge oracle takes numpy's SVD of the
-explicit concatenation the merge never forms, the noise-scale oracles run
-in 60-digit arithmetic, the subspace-distance oracle forms the full
-projectors the library deliberately avoids, the Procrustes oracles align
+explicit concatenation the merge never forms, the noise-scale oracles and
+the exact privacy curve of the Gaussian mechanism run in 60-digit
+arithmetic, the subspace-distance oracle forms the full projectors the
+library deliberately avoids, the Procrustes oracles align
 explicit matrices, the interleavings give observation orders across
 clients that a federation's result must not depend on, the bad batches
 hold one entry that a finiteness check must catch, and the reference
@@ -95,6 +96,22 @@ def min_batch_size_hp(epsilon, delta, d, omega_floor) -> int:
         log_term = mpmath.log(dd * dd / (dlt * mpmath.sqrt(2 * mpmath.pi)))
         num = (4 * dd / eps) * mpmath.sqrt(2 * log_term) + mpmath.sqrt(2 / eps)
         return int(mpmath.ceil(num / mpmath.mpf(str(omega_floor))))
+
+
+def gaussian_mechanism_delta(epsilon, sensitivity, omega) -> float:
+    """Exact delta at epsilon of the Gaussian mechanism, in 60-digit arithmetic.
+
+    Adding iid N(0, omega^2) noise to a query of L2 sensitivity Delta is
+    (epsilon, delta)-DP exactly when delta is at least
+    Phi(Delta/(2 omega) - epsilon omega/Delta)
+    - e^epsilon Phi(-Delta/(2 omega) - epsilon omega/Delta)
+    (Balle & Wang, ICML 2018, Theorem 8).
+    """
+    with mpmath.workdps(60):
+        eps = mpmath.mpf(epsilon)
+        ratio = mpmath.mpf(sensitivity) / mpmath.mpf(omega)
+        half, shift = ratio / 2, eps / ratio
+        return float(mpmath.ncdf(half - shift) - mpmath.exp(eps) * mpmath.ncdf(-half - shift))
 
 
 def projector_distance(u1, u2) -> float:

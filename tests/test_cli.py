@@ -626,6 +626,18 @@ class TestUtilitySweep:
         assert len(rows) == 18
         assert all(float(r["value"]) >= 1.0 - 1e-9 for r in rows)
 
+    def test_client_methods_write_equal_rows_without_dp(self, tmp_path):
+        # without a mask both are the plain fold of x, whatever the slab width
+        out = tmp_path / "n"
+        run_ok(["utility-sweep", "--d", "8", "--n", "200", "--rank", "4", "--cov-block", "3",
+                "--epsilons", "0.5,4.0", "--reps", "2", "--no-dp", "--out", str(out)])
+        for metric in ("qa_abs", "qa_signed"):
+            by_method = {}
+            for r in read_metrics(out, metric):
+                by_method.setdefault(json.loads(r["params"])["method"], []).append(r["value"])
+            assert by_method["fpca_mask"] == by_method["stream_direct"]
+            assert len(by_method["fpca_mask"]) == 8  # 2 alphas x 2 reps x 2 epsilons
+
     def test_deterministic_given_seed(self, tmp_path):
         outs = []
         for name in ("x", "y"):
@@ -654,9 +666,9 @@ class TestUtilitySweep:
 
     @pytest.mark.parametrize("d, same", [(20, True), (65, False)])
     def test_fpca_mask_is_stream_direct_in_one_slab(self, d, same):
-        # the sweep's client folds x in one batch; at d <= 64 that batch has
-        # one slab, the one stream_direct draws, so one noise stream gives
-        # one vector; past 64 rows the client folds two slabs
+        # both methods are a client folding x in one batch; at d <= 64 the
+        # default slab is d wide, stream_direct's width, so one noise stream
+        # gives one vector; past 64 rows fpca_mask folds two slabs
         x = synth(d, 400, 1.0, 0)
         x = x / np.linalg.norm(x, axis=0)
         x /= unit_ball_factor(x)
@@ -709,6 +721,16 @@ class TestDepthProbe:
                 "--depths", "1,2", "--seed", "0", "--out", str(out)])
         flags = [float(r["value"]) for r in read_metrics(out, "within_bound")]
         assert flags == [0.0, 0.0]
+
+    def test_leaves_narrower_than_the_rank_warn(self, tmp_path, capsys):
+        # the leaves are run_federation's clients, whose batch is the leaf
+        out = tmp_path / "w"
+        run_ok(["depth-probe", "--d", "16", "--n", "64", "--rank", "4",
+                "--depths", "1,5", "--seed", "3", "--out", str(out)])
+        message = "batch width 2 is below the target rank 4"
+        assert message in capsys.readouterr().err
+        assert message in (out / "manifest.txt").read_text()
+        assert [float(r["value"]) for r in read_metrics(out, "within_bound")] == [1.0, 1.0]
 
     def test_indivisible_leaves_exit_2(self, tmp_path):
         assert main(["depth-probe", "--d", "8", "--n", "100", "--depths", "3",

@@ -147,6 +147,22 @@ class TestQaOverlap:
         with pytest.raises(ValueError):
             qa_overlap(np.array([1.0, 1.0]), np.array([1.0, 0.0]))
 
+    def test_bits_do_not_depend_on_the_layout(self):
+        # BLAS rounds a strided dot product differently from a contiguous
+        # one; the sweep's vectors are columns of a basis, strided or not
+        # with the rank, so a strided column must give its copy's bits
+        rng = np.random.default_rng(0)
+        for d in (8, 20, 33, 64, 100):
+            basis = np.linalg.qr(rng.standard_normal((d, 6)))[0]
+            v = np.linalg.qr(rng.standard_normal((d, 6)))[0][:, 0].copy()
+            for col in basis.T:
+                assert not col.flags.c_contiguous
+                for a, b in ((v, col), (col, v)):
+                    got = qa_overlap(a, b, signed=True)
+                    want = qa_overlap(np.ascontiguousarray(a), np.ascontiguousarray(b),
+                                      signed=True)
+                    assert got.hex() == want.hex()
+
 
 class TestProcrustesAlignError:
     def test_zero_under_exact_rotation(self):

@@ -4,6 +4,8 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from fedpca.privacy import (
     CalibrationError,
@@ -16,7 +18,14 @@ from fedpca.privacy import (
     omega_symmetric_sulq,
     symmetric_gaussian_mask,
 )
-from oracles import BAD_ENTRIES, bad_batch, min_batch_size_hp, omega_streaming_hp, omega_symmetric_hp
+from oracles import (
+    BAD_ENTRIES,
+    bad_batch,
+    gaussian_mechanism_delta,
+    min_batch_size_hp,
+    omega_streaming_hp,
+    omega_symmetric_hp,
+)
 
 # 60-digit arithmetic, rounded to double
 OMEGA_STREAM_REF = 0.643618959411308  # eps=0.1 delta=0.05 d=20 n=5000
@@ -95,6 +104,32 @@ class TestNoiseScales:
             DpConfig(1.0, 1.0)
         with pytest.raises(ValueError):
             DpConfig(1.0, 0.05, omega_floor=0.0)
+
+
+class TestExactGuarantee:
+    """Each noise scale against the exact privacy curve of the Gaussian mechanism."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        fn=st.sampled_from([omega_streaming, omega_symmetric_sulq]),
+        log_eps=st.floats(-3.0, 3.0),
+        log_delta=st.floats(-9.0, math.log10(0.9)),
+        d=st.integers(1, 1000),
+        b=st.integers(1, 5000),
+    )
+    # the largest delta(eps) / delta of a scratch grid, for each scale
+    @example(fn=omega_streaming, log_eps=0.0, log_delta=math.log10(0.3), d=1, b=1)
+    @example(fn=omega_symmetric_sulq, log_eps=1.0, log_delta=math.log10(0.3), d=1, b=5000)
+    def test_noise_scale_meets_the_budget(self, fn, log_eps, log_delta, d, b):
+        # Replacing one column, both of norm <= 1, moves the batch
+        # covariance by ||y y^T - y' y'^T||_F / b <= sqrt(2) / b. The
+        # symmetric mask masks the upper triangle alone, no more sensitive.
+        eps, delta = 10.0**log_eps, 10.0**log_delta
+        try:
+            omega = fn(DpConfig(eps, delta), d, b)
+        except CalibrationError:
+            assume(False)
+        assert gaussian_mechanism_delta(eps, math.sqrt(2.0) / b, omega) <= delta
 
 
 class TestMinBatchSize:
