@@ -147,11 +147,14 @@ def unit_ball_factor(x) -> float:
     ball is never scaled up, and steps up to the next float while rounding
     leaves a column of x / factor an ulp above norm 1. The scaled norms are
     taken GENERATE_BLOCK columns at a time, so the check holds a d x block
-    temporary. A non-finite entry makes its column's sum of squares
-    non-finite and raises ValueError.
+    temporary. Where a sum of squares overflows, the norms are taken again
+    with ``np.hypot``; a non-finite entry or norm raises ValueError.
     """
     m = as_matrix(x)
     factor = float(np.max(np.sqrt(np.einsum("ij,ij->j", m, m)), initial=1.0))
+    if not math.isfinite(factor):  # a non-finite entry, or finite squares that overflow
+        with np.errstate(over="ignore"):
+            factor = float(np.max(np.hypot.reduce(m, axis=0), initial=1.0))
     if not math.isfinite(factor):
         raise ValueError("matrix has a non-finite entry or a column norm past the float range")
 

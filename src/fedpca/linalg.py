@@ -219,11 +219,9 @@ def merge(s1: SubspaceEstimate, s2: SubspaceEstimate, r: int) -> SubspaceEstimat
     broadcast ``np.multiply`` but, under numpy 2.4, no iteration buffer:
     the broadcast allocates buffers of up to 8192 elements each, 128 KiB
     for a 400 x 50 block. The inputs are dropped once they are copied
-    into the panel. From CPython 3.11 on, a Python caller hands its
-    argument references to the callee, so a temporary such as the block
-    summary in ``merge(est, subspace_of(block), r)`` is freed before the
-    SVD; on 3.10 the caller's value stack keeps it alive until the call
-    returns.
+    into the panel. A Python caller hands its argument references to the
+    callee, so a temporary such as the block summary in
+    ``merge(est, subspace_of(block), r)`` is freed before the SVD too.
     """
     if s1.dim != s2.dim:
         raise ValueError("estimates live in different ambient dimensions")

@@ -135,6 +135,16 @@ class TestRunEdge:
         assert sum(ln.startswith("# warning:") for ln in manifest.splitlines()) == 1
         assert expect in manifest
 
+    def test_unit_ball_takes_data_whose_squares_overflow(self, tmp_path):
+        data = tmp_path / "big.csv"
+        x = np.random.default_rng(0).standard_normal((4, 30)) * 1e200
+        save_matrix_csv(data, x)
+        out = tmp_path / "o"
+        run_ok(["run-edge", "--data", str(data), "--normalize", "unit-ball", "--no-dp",
+                "--out", str(out)])
+        scale = f"# unit_ball_scale={unit_ball_factor(x)!r}"
+        assert scale in (out / "manifest.txt").read_text().splitlines()
+
     def test_dp_on_normalized_columns_does_not_warn(self, tmp_path, capsys):
         # at seed 13 plain division by the largest norm leaves it one ulp
         # above 1; the normalizer steps its divisor up until it is not

@@ -332,9 +332,16 @@ class TestNormalizeUnitBall:
             unit_ball_factor(x)
 
     def test_overflowing_norm_rejected(self):
-        # every entry is finite, but the sum of squares is not
+        # every entry is finite, but the column norm sqrt(2) * 1.5e308 is not
         with pytest.raises(ValueError, match="past the float range"):
-            unit_ball_factor(np.full((2, 3), 1e200))
+            unit_ball_factor(np.full((2, 3), 1.5e308))
+
+    def test_overflowing_squares_of_a_finite_norm(self):
+        # the sums of squares overflow, the largest norm (3.26e200) does not
+        x = np.random.default_rng(0).standard_normal((4, 30)) * 1e200
+        factor = unit_ball_factor(x)
+        assert factor == np.max(np.hypot.reduce(x, axis=0))
+        assert np.max(np.hypot.reduce(x / factor, axis=0)) <= 1.0
 
     def test_peak_memory_is_one_block(self):
         # the scaled norms are checked one d x GENERATE_BLOCK block at a

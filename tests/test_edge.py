@@ -410,8 +410,6 @@ class TestUpdateMemory:
         merge drops the block summary U_b (d b) once it is copied into the
         panel, and it frees the panel before it copies the new basis (d r)
         out of the left factor. The block's own SVD holds less: d b + b^2.
-        On CPython 3.10 the caller's value stack keeps the block summary
-        alive through the merge call, so the bound grows by d b there.
         The peak is measured above the update's entry, with the batch and
         the carried rank-r estimate already allocated.
         """
@@ -428,8 +426,7 @@ class TestUpdateMemory:
         finally:
             tracemalloc.stop()
         assert client.estimate.rank == r
-        summary = d * b if sys.version_info < (3, 11) else 0
-        assert peak <= 8 * (2 * d * (r + b) + (r + b) ** 2 + summary) + self.ALLOWANCE
+        assert peak <= 8 * (2 * d * (r + b) + (r + b) ** 2) + self.ALLOWANCE
 
     def test_batch_fed_client_holds_no_column_buffer(self):
         """A client fed only through process_batch never makes its d x b buffer.

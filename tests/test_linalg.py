@@ -1,4 +1,3 @@
-import sys
 import tracemalloc
 import warnings
 import weakref
@@ -492,10 +491,6 @@ class TestMergePanel:
             assert all(np.array_equal(a, b) for a, b in zip(before, after))
             assert not any(np.shares_memory(out.basis, a) for a in after)
 
-    @pytest.mark.skipif(
-        sys.version_info < (3, 11),
-        reason="before 3.11 the caller's value stack holds call arguments until the call returns",
-    )
     def test_temporary_argument_is_freed_before_the_svd(self, monkeypatch):
         s1 = random_estimate(1, 20, 4)
         refs = []

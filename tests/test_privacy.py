@@ -109,27 +109,40 @@ class TestNoiseScales:
 class TestExactGuarantee:
     """Each noise scale against the exact privacy curve of the Gaussian mechanism."""
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(
-        fn=st.sampled_from([omega_streaming, omega_symmetric_sulq]),
+        scale=st.sampled_from([
+            (omega_streaming, math.sqrt(2.0)),
+            (omega_symmetric_sulq, math.sqrt(2.0)),
+            (omega_streaming, 2.0),
+        ]),
         log_eps=st.floats(-3.0, 3.0),
         log_delta=st.floats(-9.0, math.log10(0.9)),
         d=st.integers(1, 1000),
         b=st.integers(1, 5000),
     )
-    # the largest delta(eps) / delta of a scratch grid, for each scale
-    @example(fn=omega_streaming, log_eps=0.0, log_delta=math.log10(0.3), d=1, b=1)
-    @example(fn=omega_symmetric_sulq, log_eps=1.0, log_delta=math.log10(0.3), d=1, b=5000)
-    def test_noise_scale_meets_the_budget(self, fn, log_eps, log_delta, d, b):
+    # the largest delta(eps) / delta of a scratch grid, for each scale and norm
+    @example(scale=(omega_streaming, math.sqrt(2.0)), log_eps=0.0, log_delta=math.log10(0.3),
+             d=1, b=1)
+    @example(scale=(omega_symmetric_sulq, math.sqrt(2.0)), log_eps=1.0,
+             log_delta=math.log10(0.3), d=1, b=5000)
+    @example(scale=(omega_streaming, 2.0), log_eps=math.log10(4.0), log_delta=math.log10(0.3),
+             d=1, b=50)
+    def test_noise_scale_meets_the_budget(self, scale, log_eps, log_delta, d, b):
         # Replacing one column, both of norm <= 1, moves the batch
         # covariance by ||y y^T - y' y'^T||_F / b <= sqrt(2) / b. The
         # symmetric mask masks the upper triangle alone, no more sensitive.
+        # The streaming scale meets the budget at the looser 2 / b too
+        # (||y y^T||_F + ||y' y'^T||_F <= 2); SuLQ does not (at d=1,
+        # eps=1000, delta=1e-9 its delta(eps) is about 6.9e8 delta), so it
+        # is not drawn there.
+        fn, norm = scale
         eps, delta = 10.0**log_eps, 10.0**log_delta
         try:
             omega = fn(DpConfig(eps, delta), d, b)
         except CalibrationError:
             assume(False)
-        assert gaussian_mechanism_delta(eps, math.sqrt(2.0) / b, omega) <= delta
+        assert gaussian_mechanism_delta(eps, norm / b, omega) <= delta
 
 
 class TestMinBatchSize:
