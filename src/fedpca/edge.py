@@ -114,7 +114,7 @@ def ssvd(block, est: SubspaceEstimate, r: int) -> SubspaceEstimate:
     This is the client's one fold, used for raw batches and for masked
     covariance slabs alike. An empty estimate is seeded with the block's
     own rank-r truncated SVD. Otherwise the block is reduced to its
-    zero-pruned subspace and merged: :func:`merge` takes one thin SVD of
+    zero-pruned subspace and merged: :func:`merge` factors
     [U*S | U_b*S_b], which gives the rank-r SVD of the column
     concatenation [U*S | block]. An all-zero block reduces to
     the empty estimate, which merge treats as neutral. Only the shape is

@@ -3,10 +3,12 @@
 Everything operates on column-space summaries: a matrix block is reduced to
 an orthonormal basis U (d x r) paired with non-negative singular values, and
 summaries from disjoint column blocks are merged without ever rebuilding the
-original matrix. The merge is one thin SVD of [U1*S1 | U2*S2], the two
-scaled bases side by side in one d x (r1 + r2) array, so its cost is
-independent of the number of columns ever observed, and it is exact when
-the target rank covers the combined rank.
+original matrix. The merge factors [U1*S1 | U2*S2], the two scaled bases
+side by side: by one thin SVD of that d x (r1 + r2) panel, or, when
+2 (r1 + r2) <= d, by projecting the narrower summary off the wider one's
+basis and taking the SVD of an (r1 + r2)-square core. Either way its cost
+is independent of the number of columns ever observed, and it is exact
+when the target rank covers the combined rank.
 """
 
 from __future__ import annotations
@@ -49,19 +51,39 @@ def ensure_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
+def _flipped_columns(left: np.ndarray) -> list:
+    """Columns whose largest-magnitude entry is negative, in increasing order.
+
+    Ties pick the lowest row index (np.argmax); an all-zero column is never
+    listed. One max and one min reduction, then one pass over the k columns
+    in Python floats, which compare faster than numpy scalars; only a
+    column whose largest magnitude is reached with both signs takes an
+    argmax of its own.
+    """
+    top, bottom = left.max(axis=0).tolist(), left.min(axis=0).tolist()
+    return [
+        j for j, (t, b) in enumerate(zip(top, bottom))
+        if -b >= t and (-b > t or left[np.argmax(np.abs(left[:, j])), j] < 0)
+    ]
+
+
+def _column_signs(left: np.ndarray) -> np.ndarray:
+    """The factor, 1.0 or -1.0, by which :func:`_fix_signs` multiplies each column."""
+    signs = np.ones(left.shape[1])
+    signs[_flipped_columns(left)] = -1.0
+    return signs
+
+
 def _fix_signs(left: np.ndarray) -> None:
     """Flip columns in place so each column's largest-magnitude entry is positive.
 
-    Ties pick the lowest row index (np.argmax); an all-zero column stays.
-    Checking rule: one max and one min reduction, then one Python pass over
-    the k columns, with argmax on a tied column alone. Flips go column by
+    The columns are those of :func:`_flipped_columns`. Flips go column by
     column: ``left *= signs`` allocates an iteration buffer of up to 8192
     elements, and ``np.negative(col, out=col)`` writes wrong entries under
     numpy 2.4 when the column's stride is exactly 8 elements.
     """
-    for j, (top, bottom) in enumerate(zip(left.max(axis=0), left.min(axis=0))):
-        if -bottom >= top and (-bottom > top or left[np.argmax(np.abs(left[:, j])), j] < 0):
-            left[:, j] *= -1.0
+    for j in _flipped_columns(left):
+        left[:, j] *= -1.0
 
 
 def _nonzero_count(values: np.ndarray, dim_max: int) -> int:
@@ -199,29 +221,90 @@ def subspace_of(a, r: Optional[int] = None) -> SubspaceEstimate:
     return f.truncated(_nonzero_count(f.values, max(d, n)))
 
 
+def _merge_by_projection(
+    wide: SubspaceEstimate, narrow: SubspaceEstimate, r: int
+) -> SubspaceEstimate:
+    """Rank-r summary of [U_b*S_b | U*S] through U's projection off span(U_b).
+
+    U (d x r1, the narrower summary) splits as U_b C + Q R: two classical
+    Gram-Schmidt passes give C = U_b^T U and the residual W = U - U_b C,
+    and the reduced QR of W gives Q R. Then [U_b*S_b | U*S] equals
+    [U_b | Q] K with the (r1 + r2)-square core K = [[C S, S_b], [R S, 0]],
+    so the SVD of K gives the values, and [U_b | Q] times its left factor
+    the directions (Brand, Linear Algebra Appl. 415, 2006). Needs
+    r1 + r2 <= d, since Q must be orthogonal to U_b.
+
+    The result is that of canonically signed inputs, bit for bit: each
+    input's column signs under :func:`_fix_signs`' rule are applied to the
+    small factors only, the rows of C and of K's left factor for U_b's
+    columns and the columns of C and R for U's. A column's sign passes
+    exactly through every product here and through Householder QR, whose
+    Q does not depend on the signs of W's columns.
+    """
+    ub, u = wide.basis, narrow.basis
+    d, r2, r1 = ub.shape[0], ub.shape[1], u.shape[1]
+    c = ub.T @ u
+    w = u - ub @ c
+    fix = ub.T @ w
+    w -= ub @ fix
+    c += fix
+    accounting.note("merge.residual", w.shape)
+    q, rr = np.linalg.qr(w)
+    del w
+    signs_b = _column_signs(ub)
+    scale = narrow.values * _column_signs(u)
+    core = np.zeros((r1 + r2, r1 + r2))
+    core[:r2, :r1] = signs_b[:, None] * c * scale
+    core[r2:, :r1] = rr * scale
+    np.fill_diagonal(core[:r2, r1:], wide.values)
+    accounting.note("merge.core", core.shape)
+    uk, vals = np.linalg.svd(core)[:2]
+    accounting.note("merge.factor", uk.shape)
+    del core  # with the right factor, freed before the basis is formed
+    keep = min(r, _nonzero_count(vals, d))
+    basis = ub @ (signs_b[:, None] * uk[:r2, :keep])
+    basis += q @ uk[r2:, :keep]
+    accounting.note("merge.basis", basis.shape)
+    _fix_signs(basis)
+    return SubspaceEstimate(basis, vals[:keep].copy())
+
+
 def merge(s1: SubspaceEstimate, s2: SubspaceEstimate, r: int) -> SubspaceEstimate:
     """Rank-r summary of the column concatenation behind two estimates.
 
-    One thin SVD of [U1*S1 | U2*S2], the scaled bases written side by
-    side into one d x (r1 + r2) array, gives the leading r values and
-    directions. When r1 + r2 exceeds d, the left factor is d x d and the
-    same steps apply. Exact when r covers the combined rank.
+    Returns the leading r values and directions of [U1*S1 | U2*S2], the
+    scaled bases side by side. Exact when r covers the combined rank.
     This is the package's only merge: a weighted concatenation
     [w1*U1*S1 | w2*U2*S2] is ``merge(s1.scaled(w1), s2.scaled(w2), r)``.
 
     The empty estimate is neutral: merging s with it returns s truncated
-    to r. The panel puts the estimate with the larger leading value first,
-    its values' and then its basis's bytes breaking an exact tie, so
+    to r. The estimate with the larger leading value goes first, its
+    values' and then its basis's bytes breaking an exact tie, so
     ``merge(a, b)`` and ``merge(b, a)`` are bit-identical.
 
-    At its peak a merge holds the panel and the two factors of its SVD.
-    The panel is filled with ``einsum``, which gives the same bits as a
-    broadcast ``np.multiply`` but, under numpy 2.4, no iteration buffer:
-    the broadcast allocates buffers of up to 8192 elements each, 128 KiB
-    for a 400 x 50 block. The inputs are dropped once they are copied
-    into the panel. A Python caller hands its argument references to the
-    callee, so a temporary such as the block summary in
-    ``merge(est, subspace_of(block), r)`` is freed before the SVD too.
+    Two routes, chosen by the memory each holds at its peak, with
+    k = r1 + r2:
+
+    - 2k <= d: the projection route (:func:`_merge_by_projection`). The
+      narrower summary, the second one on a tie in rank, is projected off
+      the wider one's basis, which is kept until the new basis is formed;
+      then one SVD of a k x k core. It holds d k + 3 k^2 doubles, and its
+      result does not depend on the signs of either input's columns.
+    - 2k > d: one thin SVD of the d x k panel [U1*S1 | U2*S2], which
+      holds the panel and the two factors of its SVD, 2 d k + k^2
+      doubles. When k exceeds d, the left factor is d x d and the same
+      steps apply; no residual basis can then be orthogonal to the first
+      summary's, so this is the only route. The panel is filled with
+      ``einsum``, which gives the same bits as a broadcast
+      ``np.multiply`` but, under numpy 2.4, no iteration buffer: the
+      broadcast allocates buffers of up to 8192 elements each, 128 KiB
+      for a 400 x 50 block. The inputs are dropped once they are copied
+      into the panel. A Python caller hands its argument references to
+      the callee, so a temporary such as the block summary in
+      ``merge(est, subspace_of(block), r)`` is freed before the SVD too.
+
+    Both routes prune values at or below d * eps * s_1, so they keep the
+    same directions.
     """
     if s1.dim != s2.dim:
         raise ValueError("estimates live in different ambient dimensions")
@@ -236,8 +319,10 @@ def merge(s1: SubspaceEstimate, s2: SubspaceEstimate, r: int) -> SubspaceEstimat
     ) > (s1.values.tobytes(), s1.basis.tobytes()):
         s1, s2 = s2, s1
 
-    d, r1 = s1.dim, s1.rank
-    a = np.empty((d, r1 + s2.rank))
+    d, r1, r2 = s1.dim, s1.rank, s2.rank
+    if 2 * (r1 + r2) <= d:
+        return _merge_by_projection(s1, s2, r) if r1 >= r2 else _merge_by_projection(s2, s1, r)
+    a = np.empty((d, r1 + r2))
     np.einsum("ij,j->ij", s1.basis, s1.values, out=a[:, :r1])
     np.einsum("ij,j->ij", s2.basis, s2.values, out=a[:, r1:])
     del s1, s2  # a caller's temporary summary is freed before the SVD

@@ -404,14 +404,19 @@ class TestUpdateMemory:
     def test_plain_update_peak_is_three_panels_and_a_square(self, d, r, b):
         """One non-private update allocates at most 8 (2d(r+b) + (r+b)^2) bytes.
 
-        At its peak the update holds the panel [U*S | U_b*S_b] (d (r+b)
-        doubles) and the two factors of its SVD: the left one (d (r+b)) and
-        the right one ((r+b)^2). Everything else is freed before the SVD:
-        merge drops the block summary U_b (d b) once it is copied into the
-        panel, and it frees the panel before it copies the new basis (d r)
-        out of the left factor. The block's own SVD holds less: d b + b^2.
-        The peak is measured above the update's entry, with the batch and
-        the carried rank-r estimate already allocated.
+        With k = r + b, merge takes one of two routes, and the shapes
+        cover both. When 2k > d (d = 60, 100) the update peaks at the panel
+        [U*S | U_b*S_b] (d k doubles) and the two factors of its SVD: the
+        left one (d k) and the right one (k^2). Everything else is freed
+        before the SVD: merge drops the block summary U_b (d b) once it is
+        copied into the panel, and it frees the panel before it copies the
+        new basis (d r) out of the left factor. When 2k <= d it peaks at
+        the SVD of the k-square core: U_b, kept until the new basis is
+        formed, the residual's basis Q (d r), the core and its two factors,
+        d k + 3 k^2 in all, which is no more than 2 d k + k^2 exactly when
+        2k <= d. The block's own SVD holds less: d b + b^2. The peak is
+        measured above the update's entry, with the batch and the carried
+        rank-r estimate already allocated.
         """
         rng = np.random.default_rng(d + r + b)
         batches = [rng.standard_normal((d, b)) for _ in range(3)]

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from fedpca import accounting
 from fedpca.datasets import synth_gaussian_cov
+from fedpca.edge import _new_direction
 from fedpca.linalg import (
+    ORTHO_TOL,
     SubspaceEstimate,
     _fix_signs,
     as_matrix,
@@ -324,11 +326,13 @@ class TestMerge:
     @pytest.mark.parametrize("d", [400, 100, 20])
     def test_bits_do_not_depend_on_input_signs(self, d, seed):
         # est (10 columns) trails the panel, behind the 50-column summary.
-        # Negating a trailing summary's columns never moved merge's bits
-        # (test_trailing_summary_signs_change_no_bit); the leading one's
-        # signs did in 88 of 6000 random pairs, so summaries are signed
-        # before they reach merge. raw, which leads here, keeps the bits
-        # at these seeds only.
+        # Negating a trailing summary's columns never moved the panel
+        # route's bits (test_trailing_summary_signs_change_no_bit); the
+        # leading one's signs did in 88 of 6000 random pairs, so summaries
+        # are signed before they reach merge. raw, which leads here, keeps
+        # the bits at d = 100 and 20 at these seeds only; at d = 400,
+        # where 2 (10 + 50) <= d, the projection route reads every input's
+        # signs (TestMergeProjection).
         rng = np.random.default_rng(seed)
         y = rng.standard_normal((d, 60))
         est = subspace_of(y[:, :10], 10)
@@ -426,11 +430,23 @@ class TestMerge:
             merge(random_estimate(0, 6, 2), random_estimate(0, 7, 2), 2)
 
     def test_notes_concatenation_left_factor_and_basis(self):
-        s1, s2 = random_estimate(1, 30, 4), random_estimate(2, 30, 6)
+        # 2 (4 + 6) > 19: the panel route
+        s1, s2 = random_estimate(1, 19, 4), random_estimate(2, 19, 6)
         with accounting.track() as tracker:
             merge(s1, s2, 5)
         assert tracker.total_events == 3
-        assert tracker.by_label == {"merge.concat": 300, "merge.left": 300, "merge.basis": 150}
+        assert tracker.by_label == {"merge.concat": 190, "merge.left": 190, "merge.basis": 95}
+
+    def test_projection_notes_residual_core_factor_and_basis(self):
+        # 2 (4 + 6) <= 20: the narrower summary's residual (d x 4), the
+        # square core and its left factor, and the basis
+        s1, s2 = random_estimate(1, 20, 4), random_estimate(2, 20, 6)
+        with accounting.track() as tracker:
+            merge(s1, s2, 5)
+        assert tracker.total_events == 4
+        assert tracker.by_label == {
+            "merge.residual": 80, "merge.core": 100, "merge.factor": 100, "merge.basis": 100,
+        }
 
     def test_full_rank_tree_with_ranks_past_d(self):
         # the root merge folds 128 + 128 > d directions, so the left factor
@@ -492,11 +508,13 @@ class TestMergePanel:
             assert not any(np.shares_memory(out.basis, a) for a in after)
 
     def test_temporary_argument_is_freed_before_the_svd(self, monkeypatch):
-        s1 = random_estimate(1, 20, 4)
+        # 2 (4 + 6) > 19: the panel route, which drops its inputs once they
+        # are copied; the projection route keeps the wider basis to the end
+        s1 = random_estimate(1, 19, 4)
         refs = []
 
         def temporary():
-            s = random_estimate(2, 20, 6)
+            s = random_estimate(2, 19, 6)
             refs.append(weakref.ref(s))
             return s
 
@@ -510,6 +528,103 @@ class TestMergePanel:
         monkeypatch.setattr(np.linalg, "svd", spy)
         merge(s1, temporary(), 8)
         assert alive[-1] == [False]  # the merge's SVD; the ones before built the argument
+
+
+class TestMergeProjection:
+    """The route for 2 (r1 + r2) <= d: the narrower summary projected off the wider one."""
+
+    KINDS = ["generic", "inside", "one column inside", "identical", "zero value", "kappa 1e8"]
+
+    @staticmethod
+    def _pair(kind, d, wide_rank, narrow_rank, rng):
+        """A wider and a narrower summary in dimension d, related as kind says."""
+        wide = truncated_svd(rng.standard_normal((d, d)), wide_rank)
+        values = np.sort(rng.uniform(0.1, 3.0, narrow_rank))[::-1]
+        basis = truncated_svd(rng.standard_normal((d, d)), narrow_rank).basis
+        if kind == "inside":  # the residual off span(wide) is zero
+            rotation = np.linalg.qr(rng.standard_normal((wide_rank, narrow_rank)))[0]
+            basis = wide.basis @ rotation
+        elif kind == "one column inside":
+            cols = rng.standard_normal((d, narrow_rank))
+            cols[:, 0] = wide.basis @ rng.standard_normal(wide_rank)
+            basis = np.linalg.qr(cols)[0]
+        elif kind == "identical":
+            return wide, wide
+        elif kind == "zero value":  # as adjust_rank appends a direction
+            basis[:, -1] = _new_direction(basis[:, :-1])
+            values[-1] = 0.0
+        elif kind == "kappa 1e8":
+            wide = SubspaceEstimate(wide.basis, np.logspace(0, -4, wide_rank))
+            values = np.logspace(-2, -8, narrow_rank)
+        return wide, SubspaceEstimate(basis, values)
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        kind=st.sampled_from(KINDS),
+        wide_rank=st.integers(1, 8),
+        narrow_rank=st.integers(1, 8),
+        offset=st.sampled_from([9, 1, 0, -1]),  # d - 2 (r1 + r2): below, at, one past
+        r=st.integers(1, 16),
+        scale=st.sampled_from([1.0, 1e-150, 1e150]),
+        seed=st.integers(0, 10_000),
+    )
+    def test_matches_direct_svd_of_the_concatenation(
+        self, kind, wide_rank, narrow_rank, offset, r, scale, seed
+    ):
+        narrow_rank = min(narrow_rank, wide_rank)
+        if kind == "identical":
+            narrow_rank = wide_rank
+        d = 2 * (wide_rank + narrow_rank) + offset
+        rng = np.random.default_rng(seed)
+        wide, narrow = self._pair(kind, d, wide_rank, narrow_rank, rng)
+        wide, narrow = wide.scaled(scale), narrow.scaled(scale)
+        r = min(r, d)
+        eps = np.finfo(np.float64).eps
+        out = merge(wide, narrow, r)
+        basis, values = concat_svd(wide, narrow, r)
+        s1 = values[0]
+        assert out.rank == values.size
+        assert np.max(np.abs(out.values - values)) <= 64 * eps * s1
+        gram = out.basis.T @ out.basis
+        assert np.max(np.abs(gram - np.eye(out.rank))) <= ORTHO_TOL * d
+        # the whole combined span, whose gap to the pruned rest is its
+        # smallest value: a perturbation of d * eps * s_1 turns it by at
+        # most about that over the gap (measured: up to 2.1 times)
+        full = merge(wide, narrow, d)
+        want, kept = concat_svd(wide, narrow, d)
+        assert projector_distance(full.basis, want) <= 16 * d * eps * s1 / kept[-1]
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        kind=st.sampled_from(KINDS),
+        wide_rank=st.integers(1, 10),
+        narrow_rank=st.integers(1, 10),
+        extra=st.integers(0, 30),
+        r=st.integers(1, 20),
+        side=st.sampled_from(["wide", "narrow", "both"]),
+        seed=st.integers(0, 10_000),
+    )
+    def test_input_signs_change_no_bit(self, kind, wide_rank, narrow_rank, extra, r, side, seed):
+        # either summary may lead, by its leading value, or trail
+        narrow_rank = min(narrow_rank, wide_rank)
+        if kind == "identical":
+            narrow_rank = wide_rank
+        d = 2 * (wide_rank + narrow_rank) + extra
+        rng = np.random.default_rng(seed)
+        wide, narrow = self._pair(kind, d, wide_rank, narrow_rank, rng)
+        r = min(r, d)
+
+        def flipped(est):
+            flips = np.where(rng.random(est.rank) < 0.5, -1.0, 1.0)
+            flips[rng.integers(est.rank)] = -1.0
+            return SubspaceEstimate(est.basis * flips, est.values)
+
+        want = merge(wide, narrow, r)
+        wide2 = flipped(wide) if side != "narrow" else wide
+        narrow2 = flipped(narrow) if side != "wide" else narrow
+        for got in (merge(wide2, narrow2, r), merge(narrow2, wide2, r)):
+            assert got.basis.tobytes() == want.basis.tobytes()
+            assert got.values.tobytes() == want.values.tobytes()
 
 
 class TestMergeVariants:
