@@ -84,8 +84,7 @@ class single_thread:
             with _lock:
                 if _depth == 0:
                     _saved = _API.get_num_threads()
-                    if _saved != 1:
-                        _API.set_num_threads(1)
+                    _API.set_num_threads(1)
                 _depth += 1
         return self
 
@@ -94,7 +93,7 @@ class single_thread:
         if _API is not None:
             with _lock:
                 _depth -= 1
-                if _depth == 0 and _saved != 1:
+                if _depth == 0:
                     _API.set_num_threads(_saved)
 
 

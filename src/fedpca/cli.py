@@ -40,7 +40,7 @@ from .datasets import (
 )
 from .edge import EdgeClient, EnergyBounds, energy_ratio
 from .federation import FederationConfig, build_tree, depth_error_probe, run_federation
-from .linalg import truncated_svd
+from .linalg import _fix_signs, truncated_svd
 from .metrics import MetricLog, projection_error, qa_overlap
 from .privacy import (
     DpConfig,
@@ -263,8 +263,7 @@ def _client_config(params: dict, x: np.ndarray) -> FederationConfig:
 
 def _log_edge_rows(log: MetricLog, timing: MetricLog, x: np.ndarray, client: EdgeClient) -> None:
     n, batch = x.shape[1], client.batch_size
-    block = 0
-    for lo in range(0, n, batch):
+    for block, lo in enumerate(range(0, n, batch)):
         hi = min(lo + batch, n)
         t_block = time.perf_counter()
         client.process_batch(x[:, lo:hi])
@@ -280,7 +279,6 @@ def _log_edge_rows(log: MetricLog, timing: MetricLog, x: np.ndarray, client: Edg
         if client.last_omega is not None:
             log.add("noise_omega", client.last_omega, t=block)
             log.add("batch_width", hi - lo, t=block)
-        block += 1
     for i, value in enumerate(client.estimate.values):
         log.add("global_value", value, t=i)
 
@@ -355,11 +353,9 @@ def _sweep_estimators(
         estimates[method] = client.estimate.basis[:, 0]
 
     cov = (x @ x.T) / n + symmetric_gaussian_mask(d, omega_sym, rngs[2])
-    _, vecs = np.linalg.eigh(cov)
-    v_sym = vecs[:, -1]
-    if v_sym[np.argmax(np.abs(v_sym))] < 0:  # truncated_svd's sign convention
-        v_sym = -v_sym
-    estimates["sulq_symmetric"] = v_sym
+    v_sym = np.linalg.eigh(cov)[1][:, -1:]
+    _fix_signs(v_sym)  # truncated_svd's sign convention
+    estimates["sulq_symmetric"] = v_sym[:, 0]
     return estimates
 
 

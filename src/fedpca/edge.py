@@ -20,7 +20,7 @@ import numpy as np
 
 from . import accounting
 from ._blas import single_thread
-from .linalg import SubspaceEstimate, as_matrix, merge, subspace_of
+from .linalg import SubspaceEstimate, _fix_signs, as_matrix, merge, subspace_of
 from .privacy import (
     DpConfig,
     PrivacyInfeasibleError,
@@ -89,9 +89,9 @@ def _new_direction(q: np.ndarray) -> np.ndarray:
 def adjust_rank(est: SubspaceEstimate, bounds: EnergyBounds) -> SubspaceEstimate:
     """Grow or shrink an estimate by one direction based on its energy ratio.
 
-    Growth appends the first canonical direction not already spanned
-    (re-orthogonalized against the basis) with value 0, so it carries no
-    energy until data claims it. Shrinking drops the trailing direction.
+    Growth appends the first canonical direction not already spanned,
+    re-orthogonalized against the basis, signed, and with value 0 so it
+    carries no energy until data claims it. Shrinking drops the last one.
     At rank 1, and at min(d, max_rank), the estimate saturates.
     """
     r = est.rank
@@ -101,6 +101,7 @@ def adjust_rank(est: SubspaceEstimate, bounds: EnergyBounds) -> SubspaceEstimate
     cap = est.dim if bounds.max_rank is None else min(est.dim, bounds.max_rank)
     if ratio > bounds.upper and r < cap:
         basis = np.column_stack([est.basis, _new_direction(est.basis)])
+        _fix_signs(basis[:, r:])
         values = np.append(est.values, 0.0)
         return SubspaceEstimate(basis, values)
     if ratio < bounds.lower and r > 1:
@@ -274,7 +275,7 @@ class EdgeClient:
         local = SubspaceEstimate.empty(self.dim)
         for slab in masked_cov_blocks(m, self.cov_block_width, omega, self.rng):
             local = ssvd(slab, local, self.rank)
-        if self.rescale_private and local.rank:
+        if self.rescale_private:
             local = SubspaceEstimate(local.basis, np.sqrt(width * local.values))
 
         return merge(local, self.estimate.scaled(self.forgetting), self.rank), omega

@@ -96,12 +96,9 @@ def _nonzero_count(values: np.ndarray, dim_max: int) -> int:
 
 
 def _check_orthonormal(u: np.ndarray) -> None:
-    r = u.shape[1]
-    if r == 0:
-        return
     gram = u.T @ u
-    gram.flat[:: r + 1] -= 1.0  # gram - I in place, so the check holds one r x r array
-    dev = float(np.abs(gram, out=gram).max())
+    gram.flat[:: u.shape[1] + 1] -= 1.0  # gram - I in place, so the check holds one r x r array
+    dev = float(np.abs(gram, out=gram).max(initial=0.0))  # an empty basis deviates by 0
     if not dev <= ORTHO_TOL * max(u.shape[0], 1):  # nan or inf for a non-finite entry
         raise ValueError(f"basis is not column-orthonormal (deviation {dev:.3e})")
 
@@ -132,12 +129,10 @@ class SubspaceEstimate:
             raise ValueError("values length must match basis column count")
         if basis.shape[1] > basis.shape[0]:
             raise ValueError("rank cannot exceed ambient dimension")
-        if not values.size:
-            return
         # finiteness first: a NaN fails no comparison below
         if not all(map(math.isfinite, values)):
             raise ValueError("estimate contains non-finite values")
-        if values[-1] < 0 or any(map(operator.lt, values, values[1:])):
+        if (values.size and values[-1] < 0) or any(map(operator.lt, values, values[1:])):
             raise ValueError("values must be non-increasing and non-negative")
         _check_orthonormal(basis)
 
@@ -297,14 +292,16 @@ def merge(s1: SubspaceEstimate, s2: SubspaceEstimate, r: int) -> SubspaceEstimat
       summary's, so this is the only route. The panel is filled with
       ``einsum``, which gives the same bits as a broadcast
       ``np.multiply`` but, under numpy 2.4, no iteration buffer: the
-      broadcast allocates buffers of up to 8192 elements each, 128 KiB
-      for a 400 x 50 block. The inputs are dropped once they are copied
-      into the panel. A Python caller hands its argument references to
-      the callee, so a temporary such as the block summary in
-      ``merge(est, subspace_of(block), r)`` is freed before the SVD too.
+      broadcast allocates buffers of up to 8192 elements each, 78 KiB
+      for the 100 x 50 block of a 100 x 60 panel. The inputs are
+      dropped once they are copied into the panel. A Python caller hands
+      its argument references to the callee, so a temporary such as the
+      block summary in ``merge(est, subspace_of(block), r)`` is freed
+      before the SVD too.
 
-    Both routes prune values at or below d * eps * s_1, so they keep the
-    same directions.
+    The projection route prunes values at or below d * eps * s_1, the
+    panel route at max(d, k) * eps * s_1. The cutoffs differ only when
+    k > d, which only the panel route takes.
     """
     if s1.dim != s2.dim:
         raise ValueError("estimates live in different ambient dimensions")

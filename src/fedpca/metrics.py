@@ -71,9 +71,8 @@ def projection_error(y, basis) -> float:
     total = float(np.einsum("ij,ij->", m, m))
     if not math.isfinite(total):
         raise ValueError("data contains non-finite entries or its squares overflow")
-    if u.shape[1]:
-        proj = u.T @ m
-        total -= float(np.einsum("ij,ij->", proj, proj))
+    proj = u.T @ m
+    total -= float(np.einsum("ij,ij->", proj, proj))
     return max(total, 0.0) / m.shape[1]
 
 

@@ -175,17 +175,6 @@ def isotonic_fit(y) -> np.ndarray:
     return np.asarray(out)
 
 
-def mean_random_overlap(dim: int, reps: int, seed: int) -> np.ndarray:
-    """Samples of |<u, v>| for independent uniform unit vectors."""
-    rng = np.random.default_rng(seed)
-    out = np.empty(reps)
-    for i in range(reps):
-        u = rng.standard_normal(dim)
-        v = rng.standard_normal(dim)
-        out[i] = abs(u @ v) / (np.linalg.norm(u) * np.linalg.norm(v))
-    return out
-
-
 def fix_signs_loop(left) -> None:
     """Column-by-column sign convention, in place: largest |entry| positive.
 

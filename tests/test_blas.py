@@ -83,6 +83,13 @@ def test_process_batch_runs_pinned_and_restores(api, monkeypatch):
     assert seen == [1, 1, 1]
 
 
+def test_scope_at_one_thread_stays_at_one(api):
+    api.set_num_threads(1)
+    with _blas.single_thread():
+        assert api.get_num_threads() == 1
+    assert api.get_num_threads() == 1
+
+
 def test_restored_after_update_raises(api, monkeypatch):
     seen = []
     recording(monkeypatch, edge, "min_batch_size", api, seen)

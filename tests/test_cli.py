@@ -119,6 +119,15 @@ class TestRunEdge:
         assert len(omegas) == 2 and len(widths) == 2
         assert all(float(r["value"]) > 0 for r in omegas)
 
+    def test_rows_are_numbered_by_block(self, tmp_path):
+        out = tmp_path / "b"
+        run_ok(["run-edge", "--d", "6", "--n", "70", "--rank", "2", "--batch", "30",
+                "--epsilon", "1.0", "--normalize", "unit-ball", "--out", str(out)])
+        for metric in ("rank", "reconstruction_error", "noise_omega", "batch_width"):
+            assert [int(r["t"]) for r in read_metrics(out, metric)] == [0, 1, 2]
+        widths = [float(r["value"]) for r in read_metrics(out, "batch_width")]
+        assert widths == [30.0, 30.0, 10.0]
+
     def test_dp_on_columns_outside_unit_ball_warns(self, tmp_path, capsys):
         out = tmp_path / "w"
         run_ok(["run-edge", "--generator", "gauss", "--d", "20", "--n", "1000",
@@ -504,6 +513,7 @@ class TestReplay:
         "run-federated --d 8 --n 80 --leaves 4 --epsilon 1 --normalize unit-ball "
         "--policy seeded_shuffle",
         "utility-sweep --d 6 --n 80 --rank 2 --alphas 0.5 --epsilons 0.5,1.0 --reps 2",
+        "utility-sweep --no-dp --d 8 --n 200 --reps 2",
         "depth-probe --d 16 --n 64 --rank 4 --depths 1,2",
         "depth-probe --d 16 --n 2048 --rank 4 --depths 1,2,3",
         "depth-probe --d 16 --n 2048 --rank 16 --alpha 4 --depths 1,2,3",

@@ -12,14 +12,9 @@ from fedpca.edge import EdgeClient, EnergyBounds, adjust_rank, energy_ratio, ssv
 from fedpca.federation import FederationConfig, build_tree, run_federation
 from fedpca.linalg import SubspaceEstimate, subspace_of, truncated_svd
 from fedpca.privacy import DpConfig, PrivacyInfeasibleError, derive_rng, omega_streaming
-from oracles import BAD_ENTRIES, bad_batch, jacobi_svd, projector_distance
+from oracles import BAD_ENTRIES, bad_batch, fix_signs_loop, jacobi_svd, projector_distance
 
 NON_FINITE = [np.nan, np.inf, -np.inf]
-
-
-def rank2_batch(rng, d, n, gap=50.0):
-    u = np.linalg.qr(rng.standard_normal((d, 2)))[0]
-    return u @ np.diag([gap, gap / 2]) @ rng.standard_normal((2, n)) + 0.01 * rng.standard_normal((d, n))
 
 
 def rank3_batch(rng, d, n, sigmas=(24.0, 16.0, 8.0)):
@@ -66,13 +61,20 @@ class TestEnergyBounds:
 
 class TestAdjustRank:
     def test_grow_appends_zero_energy_direction(self):
-        est = subspace_of(np.diag([3.0, 2.0, 1.0, 1e-9])[:, :3])
-        # ratio = 1/6 > 0.10: grow
-        out = adjust_rank(est, EnergyBounds())
-        assert out.rank == 4
-        assert out.values[-1] == 0.0
-        gram = out.basis.T @ out.basis
-        assert np.max(np.abs(gram - np.eye(4))) < 1e-10
+        for a in (
+            np.diag([3.0, 2.0, 1.0, 1e-9])[:, :3],  # ratio = 1/6 > 0.10: grow
+            # ratio 1.0; the residual of (1, 0, 0) is (0.447, -0.894, 0), largest entry negative
+            np.array([[3.0], [1.5], [0.0]]),
+        ):
+            est = truncated_svd(a, a.shape[1])
+            out = adjust_rank(est, EnergyBounds())
+            assert out.rank == est.rank + 1
+            assert out.values[-1] == 0.0
+            gram = out.basis.T @ out.basis
+            assert np.max(np.abs(gram - np.eye(out.rank))) < 1e-10
+            signed = out.basis.copy()
+            fix_signs_loop(signed)
+            assert np.array_equal(signed, out.basis)  # the sign rule holds for the new column
 
     def test_shrink_drops_trailing_direction(self):
         u = np.eye(4)[:, :2]

@@ -83,6 +83,10 @@ class TestProjectionError:
             residual_rho(y, 2) ** 2, abs=1e-9
         )
 
+    def test_empty_basis_leaves_the_whole_energy(self):
+        y = np.random.default_rng(11).standard_normal((6, 25))
+        assert projection_error(y, np.zeros((6, 0))) == float(np.einsum("ij,ij->", y, y)) / 25
+
     def test_rejects_skew_basis(self):
         with pytest.raises(ValueError):
             projection_error(np.eye(3), np.ones((3, 2)))
