@@ -20,7 +20,7 @@ import numpy as np
 
 from . import accounting
 from ._blas import single_thread
-from .linalg import SubspaceEstimate, _fix_signs, as_matrix, merge, subspace_of
+from .linalg import SubspaceEstimate, as_matrix, merge, subspace_of
 from .privacy import (
     DpConfig,
     PrivacyInfeasibleError,
@@ -101,7 +101,6 @@ def adjust_rank(est: SubspaceEstimate, bounds: EnergyBounds) -> SubspaceEstimate
     cap = est.dim if bounds.max_rank is None else min(est.dim, bounds.max_rank)
     if ratio > bounds.upper and r < cap:
         basis = np.column_stack([est.basis, _new_direction(est.basis)])
-        _fix_signs(basis[:, r:])
         values = np.append(est.values, 0.0)
         return SubspaceEstimate(basis, values)
     if ratio < bounds.lower and r > 1:

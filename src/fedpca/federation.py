@@ -41,13 +41,16 @@ class FederationTree:
     A node's id is its index in nodes; a tree of m leaves takes m - 1 merges.
     """
 
-    depth: int
     nodes: tuple[TreeNode, ...]
     levels: tuple[tuple[int, ...], ...]
 
     @property
     def root(self) -> int:
         return self.levels[-1][0]
+
+    @property
+    def depth(self) -> int:
+        return len(self.levels) - 1
 
 
 def build_tree(leaf_count: int, fanout: int) -> FederationTree:
@@ -68,7 +71,7 @@ def build_tree(leaf_count: int, fanout: int) -> FederationTree:
             parents.append(len(nodes))
             nodes.append(TreeNode(levels[-1][start : start + fanout]))
         levels.append(tuple(parents))
-    return FederationTree(len(levels) - 1, tuple(nodes), tuple(levels))
+    return FederationTree(tuple(nodes), tuple(levels))
 
 
 @dataclass(frozen=True)

@@ -67,13 +67,6 @@ def _flipped_columns(left: np.ndarray) -> list:
     ]
 
 
-def _column_signs(left: np.ndarray) -> np.ndarray:
-    """The factor, 1.0 or -1.0, by which :func:`_fix_signs` multiplies each column."""
-    signs = np.ones(left.shape[1])
-    signs[_flipped_columns(left)] = -1.0
-    return signs
-
-
 def _fix_signs(left: np.ndarray) -> None:
     """Flip columns in place so each column's largest-magnitude entry is positive.
 
@@ -105,7 +98,7 @@ def _check_orthonormal(u: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class SubspaceEstimate:
-    """Orthonormal basis (d x r) with non-increasing, non-negative values.
+    """Signed orthonormal basis (d x r) with non-increasing, non-negative values.
 
     r = 0 is a valid empty estimate and acts as the neutral element of
     :func:`merge`. Instances are treated as immutable snapshots; the arrays
@@ -113,6 +106,11 @@ class SubspaceEstimate:
 
     Checks, in order: every value finite, the values non-negative and
     non-increasing (by iteration, cheaper than numpy at small r), the basis orthonormal.
+
+    Every stored basis is signed: each column's largest-magnitude entry is
+    positive (:func:`_fix_signs`). An unsigned basis is stored as a signed
+    copy, leaving the caller's array as it was; a signed one, as every
+    kernel returns, is stored uncopied.
     """
 
     basis: np.ndarray
@@ -135,6 +133,10 @@ class SubspaceEstimate:
         if (values.size and values[-1] < 0) or any(map(operator.lt, values, values[1:])):
             raise ValueError("values must be non-increasing and non-negative")
         _check_orthonormal(basis)
+        if values.size and _flipped_columns(basis):
+            basis = basis.copy()
+            _fix_signs(basis)
+            object.__setattr__(self, "basis", basis)
 
     @classmethod
     @lru_cache(maxsize=128)
@@ -228,13 +230,6 @@ def _merge_by_projection(
     so the SVD of K gives the values, and [U_b | Q] times its left factor
     the directions (Brand, Linear Algebra Appl. 415, 2006). Needs
     r1 + r2 <= d, since Q must be orthogonal to U_b.
-
-    The result is that of canonically signed inputs, bit for bit: each
-    input's column signs under :func:`_fix_signs`' rule are applied to the
-    small factors only, the rows of C and of K's left factor for U_b's
-    columns and the columns of C and R for U's. A column's sign passes
-    exactly through every product here and through Householder QR, whose
-    Q does not depend on the signs of W's columns.
     """
     ub, u = wide.basis, narrow.basis
     d, r2, r1 = ub.shape[0], ub.shape[1], u.shape[1]
@@ -246,18 +241,16 @@ def _merge_by_projection(
     accounting.note("merge.residual", w.shape)
     q, rr = np.linalg.qr(w)
     del w
-    signs_b = _column_signs(ub)
-    scale = narrow.values * _column_signs(u)
     core = np.zeros((r1 + r2, r1 + r2))
-    core[:r2, :r1] = signs_b[:, None] * c * scale
-    core[r2:, :r1] = rr * scale
+    core[:r2, :r1] = c * narrow.values
+    core[r2:, :r1] = rr * narrow.values
     np.fill_diagonal(core[:r2, r1:], wide.values)
     accounting.note("merge.core", core.shape)
     uk, vals = np.linalg.svd(core)[:2]
     accounting.note("merge.factor", uk.shape)
     del core  # with the right factor, freed before the basis is formed
     keep = min(r, _nonzero_count(vals, d))
-    basis = ub @ (signs_b[:, None] * uk[:r2, :keep])
+    basis = ub @ uk[:r2, :keep]
     basis += q @ uk[r2:, :keep]
     accounting.note("merge.basis", basis.shape)
     _fix_signs(basis)
@@ -283,8 +276,7 @@ def merge(s1: SubspaceEstimate, s2: SubspaceEstimate, r: int) -> SubspaceEstimat
     - 2k <= d: the projection route (:func:`_merge_by_projection`). The
       narrower summary, the second one on a tie in rank, is projected off
       the wider one's basis, which is kept until the new basis is formed;
-      then one SVD of a k x k core. It holds d k + 3 k^2 doubles, and its
-      result does not depend on the signs of either input's columns.
+      then one SVD of a k x k core. It holds d k + 3 k^2 doubles.
     - 2k > d: one thin SVD of the d x k panel [U1*S1 | U2*S2], which
       holds the panel and the two factors of its SVD, 2 d k + k^2
       doubles. When k exceeds d, the left factor is d x d and the same
@@ -302,6 +294,10 @@ def merge(s1: SubspaceEstimate, s2: SubspaceEstimate, r: int) -> SubspaceEstimat
     The projection route prunes values at or below d * eps * s_1, the
     panel route at max(d, k) * eps * s_1. The cutoffs differ only when
     k > d, which only the panel route takes.
+
+    Neither route reads its inputs' signs: every estimate is signed when
+    built (:class:`SubspaceEstimate`), so on both routes the bits do not
+    depend on the signs of the columns the inputs were built from.
     """
     if s1.dim != s2.dim:
         raise ValueError("estimates live in different ambient dimensions")

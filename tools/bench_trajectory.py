@@ -52,11 +52,11 @@ def _openblas_threads():
     return None if _blas._API is None else _blas._API.get_num_threads()
 
 
-def _run(workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
-    """One untraced perfbench run: (its host facts, its result object)."""
+def _run(workload: str, seed: int, seconds: float, root: Path = ROOT) -> tuple[dict, dict]:
+    """One untraced run of root's own perfbench: (its host facts, its result object)."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
-    out = subprocess.run(cmd, cwd=ROOT, check=True, capture_output=True, text=True).stdout
+    out = subprocess.run(cmd, cwd=root, check=True, capture_output=True, text=True).stdout
     lines = out.splitlines()
     host = json.loads(next(ln for ln in lines if ln.startswith("host "))[len("host "):])
     return host, json.loads(lines[-1])
