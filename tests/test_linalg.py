@@ -374,6 +374,31 @@ class TestMerge:
 
     @settings(max_examples=60, deadline=None)
     @given(
+        d=st.integers(1, 59),
+        r1=st.integers(1, 12),
+        r2=st.integers(1, 12),
+        r=st.integers(1, 12),
+        seed=st.integers(0, 10_000),
+    )
+    def test_trailing_summary_signs_change_no_bit(self, d, r1, r2, r, seed):
+        # the summary with the smaller leading value trails the panel, up to
+        # d = 59, wider than TestMergeProjection's drawn shapes; negating its
+        # columns moves no bit in either argument order
+        r1, r2, r = min(r1, d), min(r2, d), min(r, d)
+        rng = np.random.default_rng(seed)
+        s1 = subspace_of(rng.standard_normal((d, r1 + 3)), r1)
+        s2 = subspace_of(rng.standard_normal((d, r2 + 3)), r2)
+        lead, trail = (s1, s2) if s1.values[0] > s2.values[0] else (s2, s1)
+        flips = np.where(rng.random(trail.rank) < 0.5, -1.0, 1.0)
+        flips[rng.integers(trail.rank)] = -1.0
+        flipped = SubspaceEstimate(trail.basis * flips, trail.values)
+        want = merge(lead, trail, r)
+        for got in (merge(lead, flipped, r), merge(flipped, lead, r)):
+            assert got.basis.tobytes() == want.basis.tobytes()
+            assert got.values.tobytes() == want.values.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
         d=st.integers(1, 30),
         r1=st.integers(1, 12),
         r2=st.integers(1, 12),
