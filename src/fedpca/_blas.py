@@ -21,6 +21,7 @@ import ctypes
 import os
 import sys
 import threading
+from contextlib import contextmanager
 from typing import Callable, NamedTuple, Optional
 
 from numpy.linalg import _umath_linalg
@@ -69,27 +70,19 @@ _depth = 0
 _saved = 1
 
 
-class single_thread:
-    """Run a ``with`` block with OpenBLAS on one thread; restore the count after.
-
-    A class, not a generator, so that entering and leaving stays cheap next
-    to the smallest update it guards.
-    """
-
-    __slots__ = ()
-
-    def __enter__(self):
-        global _depth, _saved
-        if _API is not None:
-            with _lock:
-                if _depth == 0:
-                    _saved = _API.get_num_threads()
-                    _API.set_num_threads(1)
-                _depth += 1
-        return self
-
-    def __exit__(self, *exc) -> None:
-        global _depth
+@contextmanager
+def single_thread():
+    """Run a ``with`` block with OpenBLAS on one thread; restore the count after."""
+    global _depth, _saved
+    if _API is not None:
+        with _lock:
+            if _depth == 0:
+                _saved = _API.get_num_threads()
+                _API.set_num_threads(1)
+            _depth += 1
+    try:
+        yield
+    finally:
         if _API is not None:
             with _lock:
                 _depth -= 1

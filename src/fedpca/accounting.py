@@ -37,9 +37,8 @@ _active: list[AllocationTracker] = []
 
 def note(label: str, shape) -> None:
     """Report a freshly materialized buffer of the given shape."""
-    if _active:
-        for tracker in _active:
-            tracker.note(label, shape)
+    for tracker in _active:
+        tracker.note(label, shape)
 
 
 @contextmanager

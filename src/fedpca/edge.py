@@ -1,13 +1,14 @@
 """Memory-bounded streaming PCA client.
 
-An EdgeClient ingests columns one at a time, buffers them into batches of
-width b, and folds each batch into a rank-r subspace estimate. Without DP
-the update is exact rank-r tracking: the batch's own SVD is merged with the
-(optionally discounted) carried estimate. With DP the batch is only touched
-through its masked covariance slabs, so the raw columns never leave the
-buffer unperturbed. Auxiliary memory stays O(d*(r + b)) without DP and
-O(d*(b + c)) with it; no d x d buffer is ever formed on the non-private
-path.
+An EdgeClient folds batches of at most b columns into a rank-r subspace
+estimate: whole ones passed to ``process_batch``, as every command and leaf
+task does, or columns that ``observe`` buffers, which only
+``run_federation(max_workers=None)`` feeds. Without DP the update is exact
+rank-r tracking: the batch's own SVD is merged with the (optionally
+discounted) carried estimate. With DP the batch is only touched through its
+masked covariance slabs, so the raw columns never leave the buffer
+unperturbed. Auxiliary memory stays O(d*(r + b)) without DP and O(d*(b + c))
+with it; no d x d buffer is ever formed on the non-private path.
 """
 
 from __future__ import annotations

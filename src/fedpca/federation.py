@@ -102,7 +102,7 @@ class FederationConfig:
         return EdgeClient(dim, rng=rng, **settings)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GlobalEstimate:
     estimate: SubspaceEstimate
     per_level_ranks: tuple[tuple[int, ...], ...]

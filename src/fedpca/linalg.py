@@ -43,11 +43,11 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def ensure_matrix(a, name: str = "matrix") -> np.ndarray:
+def ensure_matrix(a) -> np.ndarray:
     """Validate and return a 2-D float64 array with finite entries."""
-    m = as_matrix(a, name)
+    m = as_matrix(a)
     if not np.isfinite(m).all():
-        raise ValueError(f"{name} contains non-finite entries")
+        raise ValueError("matrix contains non-finite entries")
     return m
 
 
@@ -96,7 +96,7 @@ def _check_orthonormal(u: np.ndarray) -> None:
         raise ValueError(f"basis is not column-orthonormal (deviation {dev:.3e})")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubspaceEstimate:
     """Signed orthonormal basis (d x r) with non-increasing, non-negative values.
 

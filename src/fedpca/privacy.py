@@ -4,8 +4,8 @@ Covariance release works block-wise: the d x d sample covariance of a batch
 is produced c columns at a time, each slab perturbed with an independent
 iid Gaussian mask whose scale follows from the (epsilon, delta) budget, the
 ambient dimension, and the batch width. Both noise scales are one formula,
-owned with its checks by ``_omega``. Besides the batch, nothing here holds
-more than two d x c arrays at a time.
+owned with its checks by ``_omega``. Besides the batch, the streaming path
+holds two d x c arrays at most; the SuLQ baseline's mask holds d x d ones.
 
 A batch is read once, by the covariance products, which also check its
 finiteness without a second d x b scan: a non-finite entry, or a finite

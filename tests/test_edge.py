@@ -11,7 +11,13 @@ from fedpca import accounting, linalg
 from fedpca.edge import EdgeClient, EnergyBounds, adjust_rank, energy_ratio, ssvd
 from fedpca.federation import FederationConfig, build_tree, run_federation
 from fedpca.linalg import SubspaceEstimate, subspace_of, truncated_svd
-from fedpca.privacy import DpConfig, PrivacyInfeasibleError, derive_rng, omega_streaming
+from fedpca.privacy import (
+    DpConfig,
+    PrivacyInfeasibleError,
+    derive_rng,
+    masked_cov_blocks,
+    omega_streaming,
+)
 from oracles import BAD_ENTRIES, bad_batch, fix_signs_loop, jacobi_svd, projector_distance
 
 NON_FINITE = [np.nan, np.inf, -np.inf]
@@ -344,6 +350,48 @@ HARD_INPUTS = {
 }
 
 
+def private_stream(y, c, b, forgetting=1.0, epsilon=1.0):
+    """One private client at r = d fed y in b-wide slices; returns (estimate, folds, oracle).
+
+    No fold truncates at r = d, so the stream is the SVD of the concatenated
+    masked covariances [f^(T-1) M_1 | ... | M_T], with the masks replayed
+    from the client's seed. A batch folds its ceil(d / c) slabs, then one
+    merge with the carried estimate.
+    """
+    d, n = y.shape
+    dp = DpConfig(epsilon, 0.1)
+    warns = (pytest.warns(UserWarning, match="below the target rank") if b < d
+             else contextlib.nullcontext())
+    with warns:
+        client = EdgeClient(dim=d, rank=d, batch_size=b, dp=dp, cov_block_width=c,
+                            forgetting=forgetting, rng=derive_rng(5, 0))
+    replay, masked = derive_rng(5, 0), []
+    for lo in range(0, n, b):
+        batch = y[:, lo : lo + b]
+        client.process_batch(batch)
+        omega = omega_streaming(dp, d, batch.shape[1])
+        masked = [m * forgetting for m in masked]
+        masked.append(np.hstack(list(masked_cov_blocks(batch, c, omega, replay))))
+    return client.estimate, len(masked) * (-(-d // c) + 1), np.hstack(masked)
+
+
+def private_zero_batch(rng):
+    y = rng.standard_normal((12, 60))
+    y[:, 20:40] = 0.0
+    return private_stream(y, 5, 20)
+
+
+PRIVATE_HARD_INPUTS = {
+    "c5": lambda rng: private_stream(rng.standard_normal((12, 60)), 5, 20),
+    "c1": lambda rng: private_stream(rng.standard_normal((12, 60)), 1, 20),
+    "c-d-forgetting-0.9": lambda rng: private_stream(rng.standard_normal((12, 60)), 12, 20, 0.9),
+    "graded-kappa-1e8-eps-1e9": lambda rng: private_stream(
+        low_rank(rng, 12, 60, 10.0 * np.logspace(0, -8, 12)), 5, 20, epsilon=1e9),
+    "zero-batch-mid-stream": private_zero_batch,
+    "b3-below-d": lambda rng: private_stream(rng.standard_normal((12, 15)), 5, 3),
+}
+
+
 def assert_streams_exactly(est, folds, y):
     """Every value within 64 eps s_1 per fold of y's Jacobi values; an orthonormal basis."""
     assert est.rank > 0
@@ -363,6 +411,16 @@ def test_hard_inputs_stream_exactly(case):
     of the (weighted) concatenation, and the basis is orthonormal.
     """
     assert_streams_exactly(*HARD_INPUTS[case](np.random.default_rng(26)))
+
+
+@pytest.mark.parametrize("case", PRIVATE_HARD_INPUTS)
+def test_private_hard_inputs_stream_exactly(case):
+    """At r = d, a private stream is the offline SVD of its masked covariances.
+
+    test_hard_inputs_stream_exactly's bounds, with the covariance slabs,
+    masks included, concatenated in place of the data.
+    """
+    assert_streams_exactly(*PRIVATE_HARD_INPUTS[case](np.random.default_rng(26)))
 
 
 @st.composite
