@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from fedpca import accounting, linalg
 from fedpca.edge import EdgeClient, EnergyBounds, adjust_rank, energy_ratio, ssvd
-from fedpca.federation import FederationConfig, build_tree, run_federation
-from fedpca.linalg import SubspaceEstimate, subspace_of, truncated_svd
+from fedpca.federation import FederationConfig, aggregate_once, build_tree, run_federation
+from fedpca.linalg import SubspaceEstimate, merge, subspace_of, truncated_svd
 from fedpca.privacy import (
     DpConfig,
     PrivacyInfeasibleError,
@@ -120,14 +120,6 @@ class TestSsvd:
         assert np.max(np.abs(out.values - ref.values)) < 1e-12
         assert projector_distance(out.basis, ref.basis) < 1e-10
 
-    def test_fold_equals_concat_svd(self):
-        rng = np.random.default_rng(1)
-        a, b = rng.standard_normal((7, 12)), rng.standard_normal((7, 8))
-        est = ssvd(a, SubspaceEstimate.empty(7), 7)
-        out = ssvd(b, est, 7)
-        expect = np.linalg.svd(np.hstack([a, b]), compute_uv=False)
-        assert np.max(np.abs(out.values - expect)) < 1e-8
-
     def test_dimension_check(self):
         with pytest.raises(ValueError):
             ssvd(np.ones((3, 2)), SubspaceEstimate.empty(4), 2)
@@ -142,15 +134,6 @@ class TestEdgeClientPlain:
         ref = truncated_svd(batch, 4)
         assert np.max(np.abs(est.values - ref.values)) < 1e-10
         assert projector_distance(est.basis, ref.basis) < 1e-8
-
-    def test_full_rank_stream_matches_offline_svd(self):
-        rng = np.random.default_rng(3)
-        y = rng.standard_normal((16, 200))
-        client = EdgeClient(dim=16, rank=16, batch_size=100)
-        client.process_batch(y[:, :100])
-        est = client.process_batch(y[:, 100:])
-        expect = np.linalg.svd(y, compute_uv=False)
-        assert np.max(np.abs(est.values - expect)) < 1e-8
 
     def test_observe_equals_explicit_batches(self):
         rng = np.random.default_rng(4)
@@ -274,51 +257,51 @@ def low_rank(rng, d, n, values):
 
 
 def stream(y, r, b, forgetting=1.0):
-    """One plain client fed y in b-wide slices; returns (estimate, folds)."""
+    """One plain client fed y in b-wide slices; returns (estimate, folds, oracle).
+
+    The oracle is y with each batch weighted by forgetting^(batches after it).
+    """
     warns = (pytest.warns(UserWarning, match="below the target rank") if b < r
              else contextlib.nullcontext())
     with warns:
         client = EdgeClient(dim=y.shape[0], rank=r, batch_size=b, forgetting=forgetting)
     for lo in range(0, y.shape[1], b):
         client.process_batch(y[:, lo : lo + b])
-    return client.estimate, client.blocks_seen
-
-
-def graded(rng):
-    y = low_rank(rng, 20, 120, 10.0 * np.logspace(0, -8, 10))  # kappa = 1e8
-    return (*stream(y, 10, 20), y)
-
-
-def rank2_at_r5(rng):
-    y = low_rank(rng, 12, 60, [3.0, 1.0])
-    return (*stream(y, 5, 10), y)
+    batch = np.arange(y.shape[1]) // b
+    return client.estimate, client.blocks_seen, y * forgetting ** (batch[-1] - batch)
 
 
 def zero_batch_mid_stream(rng):
     y = low_rank(rng, 10, 50, [4.0, 2.0, 1.0])
     y[:, 20:30] = 0.0
-    return (*stream(y, 4, 10), y)
+    return stream(y, 4, 10)
 
 
-def batch_below_rank(rng):
-    y = low_rank(rng, 10, 30, [5.0, 3.0, 2.0, 1.0])
-    return (*stream(y, 6, 3), y)
+def ssvd_two_folds(rng):
+    a, b = rng.standard_normal((7, 12)), rng.standard_normal((7, 8))
+    return ssvd(b, ssvd(a, SubspaceEstimate.empty(7), 7), 7), 2, np.hstack([a, b])
 
 
-def batch_wider_than_d(rng):
-    y = rng.standard_normal((4, 50))
-    return (*stream(y, 4, 12), y)
+def split_halves(combine):
+    """Each half of an 8 x 20 matrix folded alone, then the two combined once."""
+    def case(rng):
+        y = rng.standard_normal((8, 20))
+        return combine(subspace_of(y[:, :10]), subspace_of(y[:, 10:])), 3, y
+    return case
 
 
-def one_dimension(rng):
-    y = rng.standard_normal((1, 23))
-    return (*stream(y, 1, 5), y)
+def duplicate(rng):
+    """An estimate merged with itself: its values times sqrt(2)."""
+    a = np.diag([3.0, 2.0, 1.0])
+    s = subspace_of(a)
+    return merge(s, s, 3), 2, np.hstack([a, a])
 
 
-def discounted(rng):
-    y = rng.standard_normal((8, 40))
-    batch = np.arange(40) // 8
-    return (*stream(y, 8, 8, forgetting=0.9), y * 0.9 ** (batch[-1] - batch))
+def federation(rng):
+    y = rng.standard_normal((8, 120))
+    out = run_federation(np.array_split(y, 4, axis=1), build_tree(4, 2),
+                         FederationConfig(rank=8, batch_size=30))
+    return out.estimate, 4 + 3, y  # one batch per leaf, then three merges
 
 
 def empty_leaf(workers):
@@ -331,47 +314,35 @@ def empty_leaf(workers):
     return case
 
 
-def long_stream(rng):
-    y = low_rank(rng, 30, 60_000, [5.0, 4.0, 3.0, 2.0, 1.0])
-    return (*stream(y, 5, 6), y)
-
-
-HARD_INPUTS = {
-    "graded-kappa-1e8": graded,
-    "rank2-at-r5": rank2_at_r5,
-    "zero-batch-mid-stream": zero_batch_mid_stream,
-    "b3-below-r6": batch_below_rank,
-    "b-wider-than-d": batch_wider_than_d,
-    "d1": one_dimension,
-    "forgetting-0.9": discounted,
-    "empty-leaf-1-worker": empty_leaf(1),
-    "empty-leaf-2-workers": empty_leaf(2),
-    "1e4-folds": long_stream,
-}
+def masked_replay(y, c, b, dp, forgetting, rng):
+    """[f^(T-1) M_1, ..., M_T]: y's masked covariances in b-wide slices, masks from rng."""
+    masked = []
+    for lo in range(0, y.shape[1], b):
+        batch = y[:, lo : lo + b]
+        omega = omega_streaming(dp, y.shape[0], batch.shape[1])
+        masked = [m * forgetting for m in masked]
+        masked.append(np.hstack(list(masked_cov_blocks(batch, c, omega, rng))))
+    return masked
 
 
 def private_stream(y, c, b, forgetting=1.0, epsilon=1.0):
     """One private client at r = d fed y in b-wide slices; returns (estimate, folds, oracle).
 
     No fold truncates at r = d, so the stream is the SVD of the concatenated
-    masked covariances [f^(T-1) M_1 | ... | M_T], with the masks replayed
-    from the client's seed. A batch folds its ceil(d / c) slabs, then one
-    merge with the carried estimate.
+    masked covariances, with the masks replayed from the client's seed. A
+    batch folds its ceil(d / c) slabs, then one merge with the carried
+    estimate.
     """
-    d, n = y.shape
+    d = y.shape[0]
     dp = DpConfig(epsilon, 0.1)
     warns = (pytest.warns(UserWarning, match="below the target rank") if b < d
              else contextlib.nullcontext())
     with warns:
         client = EdgeClient(dim=d, rank=d, batch_size=b, dp=dp, cov_block_width=c,
                             forgetting=forgetting, rng=derive_rng(5, 0))
-    replay, masked = derive_rng(5, 0), []
-    for lo in range(0, n, b):
-        batch = y[:, lo : lo + b]
-        client.process_batch(batch)
-        omega = omega_streaming(dp, d, batch.shape[1])
-        masked = [m * forgetting for m in masked]
-        masked.append(np.hstack(list(masked_cov_blocks(batch, c, omega, replay))))
+    for lo in range(0, y.shape[1], b):
+        client.process_batch(y[:, lo : lo + b])
+    masked = masked_replay(y, c, b, dp, forgetting, derive_rng(5, 0))
     return client.estimate, len(masked) * (-(-d // c) + 1), np.hstack(masked)
 
 
@@ -381,14 +352,35 @@ def private_zero_batch(rng):
     return private_stream(y, 5, 20)
 
 
-PRIVATE_HARD_INPUTS = {
-    "c5": lambda rng: private_stream(rng.standard_normal((12, 60)), 5, 20),
-    "c1": lambda rng: private_stream(rng.standard_normal((12, 60)), 1, 20),
-    "c-d-forgetting-0.9": lambda rng: private_stream(rng.standard_normal((12, 60)), 12, 20, 0.9),
-    "graded-kappa-1e8-eps-1e9": lambda rng: private_stream(
+# Each row maps an rng to (estimate, folds, oracle matrix); a fold is one
+# batch or slab folded, or one merge taken.
+HARD_INPUTS = {
+    "graded-kappa-1e8": lambda rng: stream(
+        low_rank(rng, 20, 120, 10.0 * np.logspace(0, -8, 10)), 10, 20),
+    "rank2-at-r5": lambda rng: stream(low_rank(rng, 12, 60, [3.0, 1.0]), 5, 10),
+    "zero-batch-mid-stream": zero_batch_mid_stream,
+    "b3-below-r6": lambda rng: stream(low_rank(rng, 10, 30, [5.0, 3.0, 2.0, 1.0]), 6, 3),
+    "b-wider-than-d": lambda rng: stream(rng.standard_normal((4, 50)), 4, 12),
+    "d1": lambda rng: stream(rng.standard_normal((1, 23)), 1, 5),
+    "forgetting-0.9": lambda rng: stream(rng.standard_normal((8, 40)), 8, 8, forgetting=0.9),
+    "full-rank-two-batches": lambda rng: stream(rng.standard_normal((16, 200)), 16, 100),
+    "ssvd-two-folds": ssvd_two_folds,
+    "merge-split-halves": split_halves(lambda a, b: merge(a, b, 8)),
+    "merge-duplicate-sqrt2": duplicate,
+    "aggregate-split-halves": split_halves(lambda a, b: aggregate_once([a, b], 8)),
+    "federation-4-leaves": federation,
+    "empty-leaf-1-worker": empty_leaf(1),
+    "empty-leaf-2-workers": empty_leaf(2),
+    "1e4-folds": lambda rng: stream(
+        low_rank(rng, 30, 60_000, [5.0, 4.0, 3.0, 2.0, 1.0]), 5, 6),
+    "private-c5": lambda rng: private_stream(rng.standard_normal((12, 60)), 5, 20),
+    "private-c1": lambda rng: private_stream(rng.standard_normal((12, 60)), 1, 20),
+    "private-c-d-forgetting-0.9": lambda rng: private_stream(
+        rng.standard_normal((12, 60)), 12, 20, 0.9),
+    "private-graded-kappa-1e8-eps-1e9": lambda rng: private_stream(
         low_rank(rng, 12, 60, 10.0 * np.logspace(0, -8, 12)), 5, 20, epsilon=1e9),
-    "zero-batch-mid-stream": private_zero_batch,
-    "b3-below-d": lambda rng: private_stream(rng.standard_normal((12, 15)), 5, 3),
+    "private-zero-batch-mid-stream": private_zero_batch,
+    "private-b3-below-d": lambda rng: private_stream(rng.standard_normal((12, 15)), 5, 3),
 }
 
 
@@ -405,22 +397,14 @@ def assert_streams_exactly(est, folds, y):
 
 @pytest.mark.parametrize("case", HARD_INPUTS)
 def test_hard_inputs_stream_exactly(case):
-    """With r at or above the data's rank, a plain stream is its offline SVD.
+    """With r at or above the data's rank, a stream, merge or tree is its offline SVD.
 
     Every value is within 64 eps s_1 per fold of the one-sided Jacobi values
-    of the (weighted) concatenation, and the basis is orthonormal.
+    of the (weighted) concatenation of what was folded: the data on the
+    plain path, the covariance slabs, masks included, on the private one.
+    The basis is orthonormal.
     """
     assert_streams_exactly(*HARD_INPUTS[case](np.random.default_rng(26)))
-
-
-@pytest.mark.parametrize("case", PRIVATE_HARD_INPUTS)
-def test_private_hard_inputs_stream_exactly(case):
-    """At r = d, a private stream is the offline SVD of its masked covariances.
-
-    test_hard_inputs_stream_exactly's bounds, with the covariance slabs,
-    masks included, concatenated in place of the data.
-    """
-    assert_streams_exactly(*PRIVATE_HARD_INPUTS[case](np.random.default_rng(26)))
 
 
 @st.composite
@@ -445,10 +429,7 @@ def hard_streams(draw):
 @given(case=hard_streams())
 def test_drawn_hard_inputs_stream_exactly(case):
     """test_hard_inputs_stream_exactly's claim and bounds on drawn inputs."""
-    y, r, b, forgetting = case
-    est, folds = stream(y, r, b, forgetting)
-    batch = np.arange(y.shape[1]) // b
-    assert_streams_exactly(est, folds, y * forgetting ** (batch[-1] - batch))
+    assert_streams_exactly(*stream(*case))
 
 
 class TestUpdateMemory:

@@ -314,20 +314,6 @@ class TestMerge:
         assert out.rank == 0 and out.dim == 4
         assert out.basis.shape == (4, 0)
 
-    def test_duplicate_estimate_scales_by_sqrt2(self):
-        s = subspace_of(np.diag([3.0, 2.0, 1.0]))
-        out = merge(s, s, 3)
-        assert np.allclose(out.values, np.sqrt(2.0) * np.array([3, 2, 1]), atol=1e-12)
-        assert projector_distance(out.basis, s.basis) < 1e-10
-
-    def test_split_halves_recover_whole_spectrum(self):
-        y = np.random.default_rng(3).standard_normal((8, 20))
-        s1 = subspace_of(y[:, :10])
-        s2 = subspace_of(y[:, 10:])
-        out = merge(s1, s2, 8)
-        expect = np.linalg.svd(y, compute_uv=False)
-        assert np.max(np.abs(out.values - expect)) < 1e-8
-
     @pytest.mark.parametrize("q", [0, 1, 3, 6])
     def test_zero_cutoff_counts_values_above_it(self, q):
         # rank-q blocks: the values left after the rank are rounding
