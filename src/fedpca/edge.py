@@ -263,14 +263,13 @@ class EdgeClient:
     def _private_update(self, m: np.ndarray) -> Tuple[SubspaceEstimate, float]:
         """The merged estimate and the noise scale its masks were drawn at."""
         width = m.shape[1]
-        if self.dp.omega_floor is not None:
-            needed = min_batch_size(self.dp, self.dim, self.dp.omega_floor)
-            if width < needed:
-                raise PrivacyInfeasibleError(
-                    f"privacy-infeasible batch: width {width} is below the "
-                    f"minimum {needed} for omega_floor={self.dp.omega_floor}"
-                )
         omega = omega_streaming(self.dp, self.dim, width)
+        floor = self.dp.omega_floor
+        if floor is not None and omega > floor:
+            raise PrivacyInfeasibleError(
+                f"privacy-infeasible batch: width {width} is below the "
+                f"minimum {min_batch_size(self.dp, self.dim, floor)} for omega_floor={floor}"
+            )
 
         local = SubspaceEstimate.empty(self.dim)
         for slab in masked_cov_blocks(m, self.cov_block_width, omega, self.rng):

@@ -101,8 +101,10 @@ def min_batch_size(dp: DpConfig, d: int, omega_floor: float) -> int:
     """Smallest batch width whose streaming noise scale stays <= omega_floor.
 
     Both terms of omega_streaming scale as 1/n, so the width is the n = 1
-    scale divided by omega_floor, rounded up. A quotient that overflows
-    raises PrivacyInfeasibleError: no batch width is that wide.
+    scale divided by omega_floor, rounded up. The quotient rounds apart from
+    omega_streaming's own divisions, so the ceiling moves by one wherever
+    omega_streaming disagrees with it. A quotient that overflows raises
+    PrivacyInfeasibleError: no batch width is that wide.
     """
     if not omega_floor > 0:
         raise ValueError(f"omega_floor must be positive, got {omega_floor}")
@@ -112,7 +114,12 @@ def min_batch_size(dp: DpConfig, d: int, omega_floor: float) -> int:
             f"privacy-infeasible: omega_floor={omega_floor} is below the noise "
             "scale of any batch width"
         )
-    return max(1, math.ceil(width))
+    n = max(1, math.ceil(width))
+    if omega_streaming(dp, d, n) > omega_floor:
+        return n + 1
+    if n > 1 and omega_streaming(dp, d, n - 1) <= omega_floor:
+        return n - 1
+    return n
 
 
 def derive_rng(root_seed: int, *key: int) -> np.random.Generator:

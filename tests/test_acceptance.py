@@ -145,7 +145,7 @@ def test_criterion_5_noise_calibration():
         dp = DpConfig(float(eps), delta)
         for j, n in enumerate(n_grid):
             omegas[i, j] = omega_streaming(dp, d, int(n))
-            assert abs(min_batch_size(dp, d, omegas[i, j]) - int(n)) <= 1
+            assert min_batch_size(dp, d, omegas[i, j]) == int(n)
     assert np.all(np.diff(omegas, axis=0) < 0)  # strictly decreasing in eps
     assert np.all(np.diff(omegas, axis=1) < 0)  # strictly decreasing in n
     assert time.perf_counter() <= budget

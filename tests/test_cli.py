@@ -248,6 +248,19 @@ class TestRunEdge:
         assert main(argv + ["--cov-block", "0", "--out", str(out)]) == 2
         assert not out.exists()  # a failed run removes the directory it made
 
+    def test_omega_floor_at_the_logged_noise_scale(self, tmp_path):
+        # a floor equal to the batches' own noise scale admits them and moves
+        # no logged value; its needed width once rounded up past 20 here
+        argv = ["run-edge", "--d", "12", "--n", "40", "--rank", "2", "--batch", "20",
+                "--epsilon", "1", "--delta", "0.1", "--normalize", "unit-ball", "--seed", "0"]
+        run_ok(argv + ["--out", str(tmp_path / "a")])
+        omega = read_metrics(tmp_path / "a", "noise_omega")[0]["value"]
+        run_ok(argv + ["--omega-floor", omega, "--out", str(tmp_path / "b")])
+        for metric in ("noise_omega", "global_value"):
+            a, b = ([(r["t"], r["value"]) for r in read_metrics(tmp_path / out, metric)]
+                    for out in "ab")
+            assert a == b
+
     def test_privacy_infeasible_exit_4(self, tmp_path, capsys):
         code = main(["run-edge", "--d", "20", "--n", "100", "--rank", "4",
                      "--batch", "50", "--epsilon", "0.1", "--delta", "0.05",

@@ -325,7 +325,7 @@ def masked_replay(y, c, b, dp, forgetting, rng):
     return masked
 
 
-def private_stream(y, c, b, forgetting=1.0, epsilon=1.0):
+def private_stream(y, c, b, forgetting=1.0, epsilon=1.0, omega_floor=None):
     """One private client at r = d fed y in b-wide slices; returns (estimate, folds, oracle).
 
     No fold truncates at r = d, so the stream is the SVD of the concatenated
@@ -334,7 +334,7 @@ def private_stream(y, c, b, forgetting=1.0, epsilon=1.0):
     estimate.
     """
     d = y.shape[0]
-    dp = DpConfig(epsilon, 0.1)
+    dp = DpConfig(epsilon, 0.1, omega_floor)
     warns = (pytest.warns(UserWarning, match="below the target rank") if b < d
              else contextlib.nullcontext())
     with warns:
@@ -350,6 +350,12 @@ def private_zero_batch(rng):
     y = rng.standard_normal((12, 60))
     y[:, 20:40] = 0.0
     return private_stream(y, 5, 20)
+
+
+def private_at_floor(rng):
+    """Batches whose noise scale equals omega_floor, the feasible edge."""
+    return private_stream(rng.standard_normal((12, 60)), 5, 20,
+                          omega_floor=omega_streaming(DpConfig(1.0, 0.1), 12, 20))
 
 
 # Each row maps an rng to (estimate, folds, oracle matrix); a fold is one
@@ -381,6 +387,7 @@ HARD_INPUTS = {
         low_rank(rng, 12, 60, 10.0 * np.logspace(0, -8, 12)), 5, 20, epsilon=1e9),
     "private-zero-batch-mid-stream": private_zero_batch,
     "private-b3-below-d": lambda rng: private_stream(rng.standard_normal((12, 15)), 5, 3),
+    "private-omega-floor-at-the-batch-scale": private_at_floor,
 }
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from collections import deque
@@ -158,6 +159,13 @@ class TestMinBatchSize:
             assert omega_streaming(cfg, 20, n) <= floor + 1e-12
             if n > 1:
                 assert omega_streaming(cfg, 20, n - 1) > floor
+        # a floor equal to a width's own noise scale gives that width back,
+        # though the n = 1 scale over the floor rounds apart from it
+        widths = list(range(1, 394, 8))
+        for eps, delta in itertools.product(np.geomspace(0.05, 8, 10), np.geomspace(0.01, 0.3, 6)):
+            dp = DpConfig(float(eps), float(delta))
+            for d in (2, 3, 5, 8, 12, 20, 40, 64, 100, 200, 400):
+                assert [min_batch_size(dp, d, omega_streaming(dp, d, n)) for n in widths] == widths
 
     def test_tighter_floor_needs_more_samples(self):
         cfg = DpConfig(0.5, 0.05)
