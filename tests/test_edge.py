@@ -1,5 +1,6 @@
 import contextlib
 import sys
+from functools import partial
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedpca import accounting, linalg
+from fedpca.datasets import partition_columns
 from fedpca.edge import EdgeClient, EnergyBounds, adjust_rank, energy_ratio, ssvd
 from fedpca.federation import FederationConfig, aggregate_once, build_tree, run_federation
 from fedpca.linalg import SubspaceEstimate, merge, subspace_of, truncated_svd
@@ -352,6 +354,24 @@ def private_zero_batch(rng):
     return private_stream(y, 5, 20)
 
 
+def private_tree(workers):
+    """Three private leaves, the middle one empty, under one root.
+
+    The root is the offline SVD of every leaf's masked covariances, leaf i
+    drawing its masks from derive_rng(seed, i).
+    """
+    def case(rng):
+        y = rng.standard_normal((12, 100))
+        leaves = [y[:, :45], y[:, 45:45], y[:, 45:]]
+        cfg = FederationConfig(rank=12, batch_size=20, dp=DpConfig(1.0, 0.1),
+                               cov_block_width=5, seed=5)
+        out = run_federation(leaves, build_tree(3, 2), cfg, max_workers=workers)
+        masked = [m for i, leaf in enumerate(leaves)
+                  for m in masked_replay(leaf, 5, 20, cfg.dp, 1.0, derive_rng(5, i))]
+        return out.estimate, len(masked) * (-(-12 // 5) + 1) + 2, np.hstack(masked)
+    return case
+
+
 def private_at_floor(rng):
     """Batches whose noise scale equals omega_floor, the feasible edge."""
     return private_stream(rng.standard_normal((12, 60)), 5, 20,
@@ -388,6 +408,11 @@ HARD_INPUTS = {
     "private-zero-batch-mid-stream": private_zero_batch,
     "private-b3-below-d": lambda rng: private_stream(rng.standard_normal((12, 15)), 5, 3),
     "private-omega-floor-at-the-batch-scale": private_at_floor,
+    # b-wide slices of a share with no unit stride, which masked_cov_blocks copies
+    "private-round-robin-share": lambda rng: private_stream(
+        partition_columns(180, 3, "round_robin").split(rng.standard_normal((12, 180)))[0], 5, 20),
+    "private-tree-empty-leaf-serial": private_tree(None),
+    "private-tree-empty-leaf-2-workers": private_tree(2),
 }
 
 
@@ -416,8 +441,8 @@ def test_hard_inputs_stream_exactly(case):
 
 @st.composite
 def hard_streams(draw):
-    """(y, r, b, forgetting): data of rank at most r, graded to kappa 1e8,
-    b below r or above d, possibly one all-zero batch, possibly discounted."""
+    """A plain stream of data of rank at most r, graded to kappa 1e8, b below
+    r or above d, possibly one all-zero batch, possibly discounted."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     d = draw(st.integers(1, 40))
     r = draw(st.integers(1, d))
@@ -429,14 +454,28 @@ def hard_streams(draw):
     if folds > 1 and draw(st.booleans()):
         zero = draw(st.integers(0, folds - 1))
         y[:, zero * b : (zero + 1) * b] = 0.0
-    return y, r, b, draw(st.sampled_from([1.0, 0.9]))
+    return partial(stream, y, r, b, draw(st.sampled_from([1.0, 0.9])))
 
 
-@settings(max_examples=40, deadline=None)
-@given(case=hard_streams())
+@st.composite
+def private_streams(draw):
+    """A private stream at r = d: any slab width, b below or above d, data
+    graded to kappa 1e8, possibly discounted, at epsilon 1 or 1e9."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(1, 16))
+    b = draw(st.integers(1, 30))
+    n = draw(st.integers(1, 4 * b))
+    y = low_rank(rng, d, n, 10.0 * np.logspace(0, -draw(st.floats(0, 8)), min(d, n)))
+    return partial(private_stream, y, draw(st.integers(1, d)), b,
+                   draw(st.sampled_from([1.0, 0.9])), draw(st.sampled_from([1.0, 1e9])))
+
+
+# about 40 examples of each kind
+@settings(max_examples=80, deadline=None)
+@given(case=st.one_of(hard_streams(), private_streams()))
 def test_drawn_hard_inputs_stream_exactly(case):
-    """test_hard_inputs_stream_exactly's claim and bounds on drawn inputs."""
-    assert_streams_exactly(*stream(*case))
+    """test_hard_inputs_stream_exactly's claim and bounds on drawn plain and private streams."""
+    assert_streams_exactly(*case())
 
 
 class TestUpdateMemory:
