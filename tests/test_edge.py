@@ -1,7 +1,7 @@
 import contextlib
 import sys
-from functools import partial
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -366,8 +366,8 @@ def private_tree(workers):
         cfg = FederationConfig(rank=12, batch_size=20, dp=DpConfig(1.0, 0.1),
                                cov_block_width=5, seed=5)
         out = run_federation(leaves, build_tree(3, 2), cfg, max_workers=workers)
-        masked = [m for i, leaf in enumerate(leaves)
-                  for m in masked_replay(leaf, 5, 20, cfg.dp, 1.0, derive_rng(5, i))]
+        masked = [m for i, leaf in enumerate(leaves) for m in masked_replay(
+            leaf, 5, 20, cfg.dp, cfg.forgetting, derive_rng(cfg.seed, i))]
         return out.estimate, len(masked) * (-(-12 // 5) + 1) + 2, np.hstack(masked)
     return case
 
